@@ -13,7 +13,7 @@ against which the regression solvers are tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 

@@ -154,8 +154,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.suite != "lq":
-        raise ConfigError(f"unknown bench suite {args.suite!r}")
     cfg = _load_json(args.config) if args.config else {}
     config = _msa_config(cfg, args.seed)
     out = Path(args.out)
@@ -223,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker count (results are independent of it)")
+                       help="accepted and ignored: the solver is single-threaded")
 
     p = sub.add_parser("solve", help="run the MSA solver on a problem")
     p.add_argument("--config", required=True, help="JSON run configuration")

@@ -71,16 +71,19 @@ def minimize_h(
     """Exhaustive H-function minimization over the control grid.
 
     Returns (v_index, gap) with gap = H(v) - H(u) <= 0; ties broken by the
-    smallest domain index.  Batched over paths.
+    smallest domain index.  All V candidates for all B paths go through one
+    h_function call on V*B candidate-major rows.
     """
     pts = spec.domain.points
-    B = x.shape[0]
+    V, B = pts.shape[0], x.shape[0]
     u_index = np.asarray(u_index)
-    u_pts = pts[u_index]
-    vals = np.empty((pts.shape[0], B))
-    for vi in range(pts.shape[0]):
-        v_pts = np.broadcast_to(pts[vi], (B, pts.shape[1]))
-        vals[vi] = h_function(spec, t, x, p, q, P, v_pts, u_pts)
+
+    def tile(a):  # V stacked copies of a per-path block
+        return np.concatenate([a] * V)
+
+    v_pts = np.repeat(pts, B, axis=0)
+    vals = h_function(spec, t, tile(x), tile(p), tile(q), tile(P), v_pts, tile(pts[u_index]))
+    vals = vals.reshape(V, B)
     v_index = np.argmin(vals, axis=0)  # argmin takes the first minimum
     rows = np.arange(B)
     gap = vals[v_index, rows] - vals[u_index, rows]

@@ -22,7 +22,7 @@ bit-identical results, and concurrent evaluation is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class ProblemSpec:
     x0: Array
     coefficients: CoefficientSet
     domain: ControlDomain
-    assumption_constants: Optional[dict] = None
 
     def __post_init__(self):
         if min(self.n, self.d, self.k) < 1:

@@ -1,13 +1,14 @@
 """Modified successive approximations: dyadic spike search and descent loop.
 
-Each iteration recomputes the state, both adjoints and the Hamiltonian gap
-for the current control, then searches dyadic levels N = 1, 2, ... for a
-spike interval whose candidate control passes the descent acceptance test
+Each iteration solves both adjoints and the Hamiltonian gap for the current
+control, then searches dyadic levels N = 1, 2, ... for a spike interval
+whose candidate control passes the descent acceptance test
 
     J(candidate) - J(u) <= eps_N * mu(u) / T
 
 evaluated exactly on the frozen ensemble.  The level search restarts at
-N = 1 each iteration.
+N = 1 each iteration.  The accepted candidate's simulated states and cost
+carry over to the next iteration.
 """
 
 from __future__ import annotations
@@ -16,18 +17,12 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .adjoint import (
-    AdjointFirst,
-    AdjointSecond,
-    RegressionBasis,
-    solve_first_adjoint,
-    solve_second_adjoint,
-)
+from .adjoint import RegressionBasis, solve_first_adjoint, solve_second_adjoint
 from .hamiltonian import GapProcess, gap_process, mu
 from .model import ProblemSpec
 from .paths import (
@@ -143,8 +138,6 @@ class SolverState:
     m: int
     u: ControlProcess
     X: StateEnsemble
-    adj1: AdjointFirst
-    adj2: AdjointSecond
     gaps: GapProcess
     J: float
     mu: float
@@ -155,23 +148,24 @@ def prepare_state(
     grid: TimeGrid,
     W: BrownianEnsemble,
     u: ControlProcess,
+    X: StateEnsemble,
+    J: float,
     basis: RegressionBasis,
     m: int = 0,
 ) -> SolverState:
-    """Simulate, solve both adjoints and evaluate J and mu for a control."""
-    X = simulate_state(spec, grid, W, u)
-    J = evaluate_cost(spec, grid, X, u)
+    """Solve both adjoints and evaluate mu for a control already simulated
+    (X) and costed (J) on the frozen ensemble."""
     adj1 = solve_first_adjoint(spec, grid, X, u, basis, W)
     adj2 = solve_second_adjoint(spec, grid, X, u, adj1, basis, W)
     gaps = gap_process(spec, grid, X, u, adj1, adj2)
-    return SolverState(m=m, u=u, X=X, adj1=adj1, adj2=adj2, gaps=gaps, J=J, mu=mu(gaps, grid))
+    return SolverState(m=m, u=u, X=X, gaps=gaps, J=J, mu=mu(gaps, grid))
 
 
 @dataclass(frozen=True)
 class StepOutcome:
     kind: str  # "accepted" | "converged" | "exhausted"
     record: Optional[IterationRecord] = None
-    new_control: Optional[ControlProcess] = None
+    candidate: Optional[Tuple[ControlProcess, StateEnsemble, float]] = None  # accepted u, X, J
 
 
 def msa_step(
@@ -203,7 +197,7 @@ def msa_step(
                 accepted=True,
                 wall_time=time.perf_counter() - t0,
             )
-            return StepOutcome(kind="accepted", record=rec, new_control=cand)
+            return StepOutcome(kind="accepted", record=rec, candidate=(cand, X_cand, J_cand))
     return StepOutcome(kind="exhausted")
 
 
@@ -255,38 +249,18 @@ def run_msa(
         W = generate_brownian(grid, config.M, spec.d, config.seed)
     basis = config.basis
     u = _initial_control(spec, grid, W, u0)
-
-    records: list = []
-    if config.m_max == 0:
-        state = prepare_state(spec, grid, W, u, basis, m=0)
-        return MSARun(
-            records=records,
-            final_control=u,
-            termination="budget",
-            J_final=state.J,
-            mu_final=state.mu,
-            grid=grid,
-            ensemble=W,
-            J0=state.J,
-            mu0=state.mu,
-        )
-
-    state = prepare_state(spec, grid, W, u, basis, m=0)
+    X = simulate_state(spec, grid, W, u)
+    state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), basis)
     J0, mu0 = state.J, state.mu
+    records: list = []
     termination = "budget"
-    while True:
-        if state.m >= config.m_max:
-            termination = "budget"
-            break
+    while state.m < config.m_max:
         outcome = msa_step(spec, grid, W, state, config)
-        if outcome.kind == "converged":
-            termination = "converged"
-            break
-        if outcome.kind == "exhausted":
-            termination = "exhausted"
+        if outcome.kind != "accepted":
+            termination = outcome.kind
             break
         records.append(outcome.record)
-        state = prepare_state(spec, grid, W, outcome.new_control, basis, m=state.m + 1)
+        state = prepare_state(spec, grid, W, *outcome.candidate, basis, m=state.m + 1)
     # terminal row: final J and mu, re-checkable against the last accepted row
     records.append(
         IterationRecord(

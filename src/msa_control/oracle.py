@@ -10,7 +10,7 @@ m^{-1/2} sequence bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -310,8 +310,9 @@ def _direct_remainder(spec, u, tau, eps_list, config):
     the regression-adjoint gap integral.  Works for any spec; noisy."""
     grid = TimeGrid(T=spec.T, depth=config.depth)
     W = generate_brownian(grid, config.M, spec.d, config.seed)
-    state = prepare_state(spec, grid, W, u, config.basis)
-    pc_base = pathwise_cost(spec, grid, state.X, u)
+    X = simulate_state(spec, grid, W, u)
+    pc_base = pathwise_cost(spec, grid, X, u)
+    state = prepare_state(spec, grid, W, u, X, float(np.mean(pc_base)), config.basis)
     rows, ses = [], []
     for eps in eps_list:
         lo, hi = _interval_steps(tau, eps, grid)
@@ -510,7 +511,8 @@ def variational_experiment(
     W = generate_brownian(grid, config.M, spec.d, config.seed)
     if isinstance(u, int):
         u = ControlProcess.constant(u, config.M, grid.steps, spec.domain.size)
-    state = prepare_state(spec, grid, W, u, config.basis)
+    X = simulate_state(spec, grid, W, u)
+    state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), config.basis)
     rows = []
     for eps in eps_list:
         lo, hi = _interval_steps(tau, eps, grid)

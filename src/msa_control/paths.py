@@ -9,8 +9,7 @@ index order so results are bit-reproducible.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

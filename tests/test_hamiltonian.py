@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from msa_control import (
+    ControlDomain,
     ControlProcess,
     GapProcess,
+    LQSpec,
     RegressionBasis,
     TimeGrid,
     build_oracle,
@@ -22,6 +24,25 @@ from msa_control import (
 )
 
 from conftest import scalar_spec
+
+
+def coupled_lq2d():
+    """n = d = k = 2: non-symmetric b1, sigma_u coupling both controls into
+    both noise columns, and a star-shaped (non-convex) control grid without
+    the origin."""
+    g = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    pts = [(a, b) for a in g for b in g if (a or b) and (a == 0 or b == 0 or abs(a) == abs(b))]
+    mix = np.array([[[0.5, 0.1], [0.2, 0.0]], [[0.0, 0.3], [0.1, 0.4]]])  # (k, n, d)
+    return lq_embed(LQSpec(
+        n=2, d=2, k=2, T=1.0, x0=[1.0, -0.5],
+        b1=lambda t: np.array([[-0.5, 0.3], [-0.2, -0.1]]),
+        b2=lambda t: np.array([0.1, 0.0]),
+        G=lambda t: np.array([[1.0, 0.2], [0.2, 0.5]]),
+        Gamma=np.eye(2),
+        sigma_u=lambda t, u: 0.3 * np.eye(2) + np.einsum("bk,knd->bnd", u, mix),
+        g=lambda t, u: 0.1 * np.sum(u**2, axis=1),
+        domain=ControlDomain(np.array(pts)),
+    ))
 
 
 def batch(*vals):
@@ -106,15 +127,33 @@ class TestMinimizeH:
         assert v_idx[0] == 0 and gap[0] == pytest.approx(0.0)
 
     def test_gap_nonpositive_property(self):
-        rng = np.random.default_rng(0)
-        spec = lq_embed(get_lq("lq-scalar"))
-        x = rng.normal(size=(64, 1))
-        p = rng.normal(size=(64, 1))
-        q = rng.normal(size=(64, 1, 1))
-        P = np.abs(rng.normal(size=(64, 1, 1)))
-        u_idx = rng.integers(0, spec.domain.size, size=64)
-        _, gap = minimize_h(spec, 0.3, x, p, q, P, u_idx)
-        assert np.all(gap <= 1e-12)
+        # on the 2-D problem rows 0-7 get p = q = P = 0, so candidates differ
+        # only in the control cost, whose four points of norm 1/2 tie exactly
+        for spec, ties in ((lq_embed(get_lq("lq-scalar")), 0), (coupled_lq2d(), 8)):
+            rng = np.random.default_rng(0)
+            n, d = spec.n, spec.d
+            x = rng.normal(size=(64, n))
+            p = rng.normal(size=(64, n))
+            q = rng.normal(size=(64, n, d))
+            P = np.abs(rng.normal(size=(64, n, n)))
+            u_idx = rng.integers(0, spec.domain.size, size=64)
+            p[:ties], q[:ties], P[:ties] = 0.0, 0.0, 0.0
+            v_idx, gap = minimize_h(spec, 0.3, x, p, q, P, u_idx)
+            assert np.all(gap <= 1e-12)
+
+            # reference: one h_function call per candidate point
+            pts = spec.domain.points
+            vals = np.stack([
+                h_function(spec, 0.3, x, p, q, P, np.broadcast_to(v, (64, spec.k)), pts[u_idx])
+                for v in pts
+            ])
+            ref = np.argmin(vals, axis=0)
+            rows = np.arange(64)
+            assert np.array_equal(v_idx, ref)
+            assert np.array_equal(gap, vals[ref, rows] - vals[u_idx, rows])
+            is_min = vals[:, :ties] == vals[:, :ties].min(axis=0)
+            assert np.all(is_min.sum(axis=0) == 4)
+            assert np.array_equal(v_idx[:ties], is_min.argmax(axis=0))  # smallest index
 
 
 class TestGapProcess:

@@ -9,15 +9,18 @@ from msa_control import (
     build_oracle,
     check_descent_log,
     dyadic_interval,
+    evaluate_cost,
     find_descent_interval,
     generate_brownian,
     get_lq,
     lq_embed,
     msa_step,
+    mu,
     prepare_state,
     records_from_csv,
     records_to_csv,
     run_msa,
+    simulate_state,
     spike_control,
 )
 
@@ -127,7 +130,7 @@ class TestMsaStep:
         W = generate_brownian(grid, 50, 1, 0)
         u = ControlProcess.constant(0, 50, grid.steps, spec.domain.size)
         gaps = GapProcess(np.zeros((50, 8)), np.zeros((50, 8), dtype=np.int64))
-        state = SolverState(m=0, u=u, X=None, adj1=None, adj2=None, gaps=gaps, J=1.0, mu=0.0)
+        state = SolverState(m=0, u=u, X=None, gaps=gaps, J=1.0, mu=0.0)
         out = msa_step(spec, grid, W, state, MSAConfig(M=50, depth=3, N_max=3))
         assert out.kind == "converged"
 
@@ -137,19 +140,37 @@ class TestMsaStep:
         grid = TimeGrid(T=1.0, depth=3)
         W = generate_brownian(grid, 50, 1, 0)
         u = ControlProcess.constant(0, 50, grid.steps, spec.domain.size)
-        X = None
-        from msa_control import simulate_state
-
         X = simulate_state(spec, grid, W, u)
-        from msa_control import evaluate_cost
-
         J = evaluate_cost(spec, grid, X, u)
         gaps = GapProcess(
             np.full((50, 8), -1.0), np.zeros((50, 8), dtype=np.int64)
         )  # argmin = current control: spikes are no-ops
-        state = SolverState(m=0, u=u, X=X, adj1=None, adj2=None, gaps=gaps, J=J, mu=-1.0)
+        state = SolverState(m=0, u=u, X=X, gaps=gaps, J=J, mu=-1.0)
         out = msa_step(spec, grid, W, state, MSAConfig(M=50, depth=3, N_max=3))
         assert out.kind == "exhausted"
+
+    def test_accepted_at_level_two(self):
+        # level 1 spikes the whole horizon and fails the descent test; the
+        # first half-interval at level 2 passes
+        spec = lq_embed(get_lq("lq-scalar"))
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, 200, 1, 0)
+        u = ControlProcess.constant(10, 200, grid.steps, spec.domain.size)
+        X = simulate_state(spec, grid, W, u)
+        J = evaluate_cost(spec, grid, X, u)
+        argmins = np.zeros((200, 8), dtype=np.int64)
+        argmins[:, :4] = 4
+        argmins[:, 4:] = 20
+        gaps = GapProcess(np.full((200, 8), -1e-3), argmins)
+        state = SolverState(m=0, u=u, X=X, gaps=gaps, J=J, mu=mu(gaps, grid))
+        out = msa_step(spec, grid, W, state, MSAConfig(M=200, depth=3, N_max=3))
+        assert out.kind == "accepted"
+        assert (out.record.N, out.record.j) == (2, 1)
+        # the outcome carries the accepted control's own states and cost
+        cand, X_cand, J_cand = out.candidate
+        assert np.all(cand.values[:, :4] == 4) and np.all(cand.values[:, 4:] == 10)
+        assert np.array_equal(X_cand.states, simulate_state(spec, grid, W, cand).states)
+        assert J_cand == evaluate_cost(spec, grid, X_cand, cand)
 
 
 class TestRunMsa:
@@ -157,7 +178,10 @@ class TestRunMsa:
         spec = lq_embed(get_lq("lq-scalar"))
         run = run_msa(spec, MSAConfig(M=200, depth=3, N_max=3, m_max=0))
         assert run.termination == "budget"
-        assert run.records == []
+        assert run.records == [
+            IterationRecord(m=0, J=run.J0, mu=run.mu0, N=0, j=0, accepted=False, wall_time=0.0)
+        ]
+        assert (run.J_final, run.mu_final) == (run.J0, run.mu0)
 
     def test_lq_benchmark_converges(self):
         lq = get_lq("lq-scalar")
