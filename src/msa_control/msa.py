@@ -28,6 +28,7 @@ from .model import ProblemSpec
 from .paths import (
     BrownianEnsemble,
     ControlProcess,
+    SimulationError,
     StateEnsemble,
     TimeGrid,
     evaluate_cost,
@@ -127,6 +128,10 @@ class MSAConfig:
             raise ValueError("m_max must be >= 0 and M >= 1")
         if self.mu_tol < 0:
             raise ValueError("mu_tol must be nonnegative")
+        if self.N_max < 1:
+            raise ValueError("N_max must be >= 1")
+        if self.degree < 0 or self.ridge < 0:
+            raise ValueError("degree and ridge must be nonnegative")
 
     @property
     def basis(self) -> RegressionBasis:
@@ -159,6 +164,14 @@ def prepare_state(
     adj2 = solve_second_adjoint(spec, grid, X, u, adj1, basis, W)
     gaps = gap_process(spec, grid, X, u, adj1, adj2)
     return SolverState(m=m, u=u, X=X, gaps=gaps, J=J, mu=mu(gaps, grid))
+
+
+def _require_finite(state: SolverState) -> SolverState:
+    """Stop on a non-finite cost or gap statistic instead of iterating on NaN."""
+    for stage, value in (("cost", state.J), ("mu", state.mu)):
+        if not np.isfinite(value):
+            raise SimulationError(f"non-finite {stage} {value!r} at iteration {state.m}")
+    return state
 
 
 @dataclass(frozen=True)
@@ -250,7 +263,9 @@ def run_msa(
     basis = config.basis
     u = _initial_control(spec, grid, W, u0)
     X = simulate_state(spec, grid, W, u)
-    state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), basis)
+    state = _require_finite(
+        prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), basis)
+    )
     J0, mu0 = state.J, state.mu
     records: list = []
     termination = "budget"
@@ -260,7 +275,9 @@ def run_msa(
             termination = outcome.kind
             break
         records.append(outcome.record)
-        state = prepare_state(spec, grid, W, *outcome.candidate, basis, m=state.m + 1)
+        state = _require_finite(
+            prepare_state(spec, grid, W, *outcome.candidate, basis, m=state.m + 1)
+        )
     # terminal row: final J and mu, re-checkable against the last accepted row
     records.append(
         IterationRecord(

@@ -348,17 +348,23 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     xs, S = fields.xs, fields.S
     dx = xs[1] - xs[0]
     paths = X.states[:, :, 0]
+    ranges = [_interval_steps(tau, eps, grid) for eps in eps_list]
+    # The intervals are nested around tau, so one pass over their union
+    # interpolates each step once; every interval still sums its own steps
+    # in ascending order from zero.
+    gap_paths = [np.zeros(config.M) for _ in ranges]
+    for i in range(grid.steps):
+        inside = [acc for (lo, hi), acc in zip(ranges, gap_paths) if lo <= i < hi]
+        if inside:
+            term = np.interp(paths[:, i], xs, S[i]) * grid.dt
+            for acc in inside:
+                acc += term
     rows, ses = [], []
-    for eps in eps_list:
-        lo, hi = _interval_steps(tau, eps, grid)
+    for eps, (lo, hi), gap_path in zip(eps_list, ranges, gap_paths):
         delta = np.zeros(nx)
         for i in range(hi - 1, lo - 1, -1):
             delta = _cn_step(delta, fields.b_sel[i], fields.s2_sel[i], S[i], grid.dt, dx)
-        j_diff = np.interp(paths[:, lo], xs, delta)
-        gap_path = np.zeros(config.M)
-        for i in range(lo, hi):
-            gap_path += np.interp(paths[:, i], xs, S[i]) * grid.dt
-        r = j_diff - gap_path
+        r = np.interp(paths[:, lo], xs, delta) - gap_path
         rows.append((float(eps), float(np.sum(r) / config.M)))
         ses.append(float(np.std(r) / np.sqrt(config.M)))
     return rows, ses
@@ -405,8 +411,8 @@ def remainder_experiment(
 
 @dataclass(frozen=True)
 class VariationalEnsemble:
-    X1: Array  # (M, steps+1, n)
-    X2: Array  # (M, steps+1, n)
+    X1: Array  # (M, steps+1, n) view of a time-major buffer
+    X2: Array  # (M, steps+1, n) view of a time-major buffer
 
 
 def variational_simulate(
@@ -438,8 +444,8 @@ def variational_simulate(
     cand = ControlProcess(vals, u.num_points)
     X_sp = simulate_state(spec, grid, W, cand)
 
-    X1 = np.zeros((M, steps + 1, n))
-    X2 = np.zeros((M, steps + 1, n))
+    X1 = np.zeros((steps + 1, M, n))
+    X2 = np.zeros((steps + 1, M, n))
     for i in range(steps):
         t = i * dt
         xi = X.states[:, i]
@@ -453,8 +459,8 @@ def variational_simulate(
         b_xx = np.asarray(c.b_xx(t, xi, ui))
         sigma_xx = np.asarray(c.sigma_xx(t, xi, ui))
         sig_u = np.asarray(c.sigma(t, xi, ui))
-        x1 = X1[:, i]
-        x2 = X2[:, i]
+        x1 = X1[i]
+        x2 = X2[i]
 
         if on:
             sig_hat = np.asarray(c.sigma(t, xi, vi)) - sig_u
@@ -466,7 +472,7 @@ def variational_simulate(
             sig_x_hat = np.zeros_like(sigma_x)
 
         diff1 = np.einsum("bjld,bl->bjd", sigma_x, x1) + sig_hat
-        X1[:, i + 1] = x1 + np.einsum("bjl,bl->bj", b_x, x1) * dt + np.einsum(
+        X1[i + 1] = x1 + np.einsum("bjl,bl->bj", b_x, x1) * dt + np.einsum(
             "bjd,bd->bj", diff1, dw
         )
 
@@ -477,12 +483,14 @@ def variational_simulate(
             + sxx_q
             + np.einsum("bjld,bl->bjd", sig_x_hat, x1)
         )
-        X2[:, i + 1] = (
+        X2[i + 1] = (
             x2
             + (np.einsum("bjl,bl->bj", b_x, x2) + b_hat + bxx_q) * dt
             + np.einsum("bjd,bd->bj", diff2, dw)
         )
 
+    X1 = X1.transpose(1, 0, 2)
+    X2 = X2.transpose(1, 0, 2)
     defect = X_sp.states - X.states - X1 - X2
     e = float(np.mean(np.max(np.sum(defect**2, axis=2), axis=1)))
     return VariationalEnsemble(X1=X1, X2=X2), e

@@ -4,6 +4,10 @@ The whole solver runs on a sample-average approximation: one Brownian
 ensemble is generated up front and every expectation (cost, adjoints,
 Hamiltonian gaps) is an average over its paths.  All reductions use a fixed
 index order so results are bit-reproducible.
+
+Increments and states are stored time-major, as contiguous (steps, M, .)
+buffers, and exposed as path-major (M, steps, .) transposed views: every
+per-step slice ``[:, i]`` that the solver loops take is then contiguous.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ import numpy as np
 from .model import ProblemSpec
 
 Array = np.ndarray
+
+# Paths drawn per block before the block is copied into the time-major buffer.
+_BROWNIAN_BLOCK = 512
 
 
 class SimulationError(RuntimeError):
@@ -56,7 +63,7 @@ class TimeGrid:
 class BrownianEnsemble:
     """Frozen N(0, dt) increments, one counter-based stream per path."""
 
-    increments: Array  # (M, steps, d)
+    increments: Array  # (M, steps, d) view of a time-major buffer
     seed: int
 
     @property
@@ -80,15 +87,25 @@ def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnse
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    scale = np.sqrt(grid.dt)
-    out = np.empty((M, grid.steps, d))
-    for p in range(M):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, p], dtype=np.uint64))
-        )
-        out[p] = gen.standard_normal((grid.steps, d))
-    out *= scale
-    return BrownianEnsemble(increments=out, seed=seed)
+    steps = grid.steps
+    out = np.empty((steps, M, d))
+    # Philox is counter-based: restoring a fresh state (counter 0, empty
+    # buffer) with key (seed, p) gives exactly the stream of a newly built
+    # Philox(key=(seed, p)), without building one per path.
+    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    block = np.empty((_BROWNIAN_BLOCK, steps, d))
+    for start in range(0, M, _BROWNIAN_BLOCK):
+        size = min(_BROWNIAN_BLOCK, M - start)
+        for k in range(size):
+            key[1] = start + k
+            bitgen.state = fresh
+            gen.standard_normal(out=block[k])
+        out[:, start : start + size] = block[:size].transpose(1, 0, 2)
+    out *= np.sqrt(grid.dt)
+    return BrownianEnsemble(increments=out.transpose(1, 0, 2), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -102,23 +119,25 @@ class ControlProcess:
         vals = np.asarray(self.values)
         if vals.min() < 0 or vals.max() >= self.num_points:
             raise ValueError("control index out of domain range")
-        object.__setattr__(self, "values", vals.astype(np.int64))
+        object.__setattr__(self, "values", vals.astype(np.int64, copy=False))
 
     @classmethod
     def constant(cls, index: int, M: int, steps: int, num_points: int) -> "ControlProcess":
-        return cls(np.full((M, steps), index, dtype=np.int64), num_points)
+        """Read-only broadcast view: no (M, steps) array is materialised."""
+        return cls(np.broadcast_to(np.int64(index), (M, steps)), num_points)
 
     @classmethod
     def deterministic(cls, row: Array, M: int, num_points: int) -> "ControlProcess":
+        """Read-only broadcast view of one row shared by all paths."""
         row = np.asarray(row, dtype=np.int64)
-        return cls(np.tile(row, (M, 1)), num_points)
+        return cls(np.broadcast_to(row, (M, row.shape[0])), num_points)
 
 
 @dataclass(frozen=True)
 class StateEnsemble:
     """Euler-Maruyama state paths plus provenance identifiers."""
 
-    states: Array  # (M, steps+1, n)
+    states: Array  # (M, steps+1, n) view of a time-major buffer
     control_values: Array
     ensemble_seed: int
 
@@ -135,20 +154,21 @@ def simulate_state(
     c = spec.coefficients
     pts = spec.domain.points
     dt = grid.dt
-    X = np.empty((M, steps + 1, spec.n))
-    X[:, 0] = spec.x0
+    X = np.empty((steps + 1, M, spec.n))
+    X[0] = spec.x0
     for i in range(steps):
         t = i * dt
-        xi = X[:, i]
+        xi = X[i]
         ui = pts[u.values[:, i]]
         drift = np.asarray(c.b(t, xi, ui))
         diff = np.asarray(c.sigma(t, xi, ui))
-        X[:, i + 1] = xi + drift * dt + np.einsum("bnd,bd->bn", diff, W.increments[:, i])
-    bad = ~np.isfinite(X)
+        X[i + 1] = xi + drift * dt + np.einsum("bnd,bd->bn", diff, W.increments[:, i])
+    states = X.transpose(1, 0, 2)
+    bad = ~np.isfinite(states)
     if bad.any():
         p, i, _ = np.argwhere(bad)[0]
         raise SimulationError(f"non-finite state at path {p}, step {i}")
-    return StateEnsemble(states=X, control_values=u.values, ensemble_seed=W.seed)
+    return StateEnsemble(states=states, control_values=u.values, ensemble_seed=W.seed)
 
 
 def _check_provenance(X: StateEnsemble, u: ControlProcess) -> None:

@@ -57,6 +57,15 @@ class TestSolve:
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field, value", [("N_max", 0), ("degree", -1), ("ridge", -1e-8)])
+    def test_invalid_solver_setting(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_inline_lq_problem(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -5,6 +5,7 @@ from msa_control import (
     ControlProcess,
     GapProcess,
     MSAConfig,
+    SimulationError,
     TimeGrid,
     build_oracle,
     check_descent_log,
@@ -25,6 +26,8 @@ from msa_control import (
 )
 
 from msa_control.msa import IterationRecord, SolverState
+
+from conftest import scalar_spec
 
 
 class TestDyadicInterval:
@@ -194,6 +197,26 @@ class TestRunMsa:
         assert run.J_final <= run.J0
         assert run.J_final - oracle.J_star <= 0.05 * (run.J0 - oracle.J_star)
         assert check_descent_log(run.records, spec.T)
+
+    @pytest.mark.parametrize(
+        "f, stage",
+        [
+            (lambda t, x, u: np.sqrt(x), "cost"),  # negative states: J is NaN
+            (lambda t, x, u: np.sqrt(np.abs(x)), "mu"),  # J finite, f_x is NaN
+        ],
+        ids=["cost", "mu"],
+    )
+    def test_nonfinite_raises_with_stage(self, f, stage):
+        spec = scalar_spec(
+            sigma=lambda t, x, u: np.full_like(x, 0.5),
+            f=f,
+            f_x=lambda t, x, u: 0.5 / np.sqrt(x),
+            x0=0.2,
+        )
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SimulationError, match=rf"non-finite {stage} nan at iteration 0"
+        ):
+            run_msa(spec, MSAConfig(M=200, depth=3, N_max=3, m_max=2))
 
     def test_monotone_accepted_cost(self):
         spec = lq_embed(get_lq("lq-scalar"))

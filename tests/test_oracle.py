@@ -11,6 +11,7 @@ from msa_control import (
     evaluate_cost,
     generate_brownian,
     get_lq,
+    get_problem,
     lq_embed,
     lq_optimal_control,
     lyapunov_solve,
@@ -129,6 +130,29 @@ class TestRemainderExperiment:
         res = remainder_experiment(spec, spec.domain.size - 1, 0.5, eps_list, config)
         for _, R, _ in res.rows:
             assert abs(R) <= 1e-10
+
+    def test_conditional_estimator_bits_pinned(self):
+        # criterion-6 shape at a small size; the nested intervals share one
+        # pass over the steps, which must not change any sum's order
+        spec = get_problem("nonconvex-diffusion")
+        config = MSAConfig(M=4000, depth=7, N_max=7, seed=3)
+        eps_list = [spec.T * 2.0 ** (-N) for N in range(2, 7)]
+        res = remainder_experiment(spec, spec.domain.size - 1, spec.T / 2, eps_list, config)
+        assert [(e, R.hex(), c) for e, R, c in res.rows] == [
+            (0.25, "-0x1.95332a89fe0c3p-11", True),
+            (0.125, "-0x1.2ecf86651958cp-12", True),
+            (0.0625, "-0x1.7fb492f9e2154p-14", True),
+            (0.03125, "0x1.82d95178cbd74p-17", True),
+            (0.015625, "0x1.9f25375ce8425p-17", True),
+        ]
+        assert [s.hex() for s in res.standard_errors] == [
+            "0x1.23c780ae601f2p-12",
+            "0x1.988ace16865d5p-14",
+            "0x1.134a3c4729f02p-15",
+            "0x1.75cae1c5f7b5fp-17",
+            "0x1.d3217aa14c1cap-19",
+        ]
+        assert np.isnan(res.slope)  # every row is censored at this size
 
     def test_misaligned_interval_rejected(self):
         from msa_control.oracle import _interval_steps

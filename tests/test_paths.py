@@ -3,10 +3,12 @@ import pytest
 
 from msa_control import (
     ControlProcess,
+    GapProcess,
     ProvenanceError,
     SimulationError,
     TimeGrid,
     dump_array,
+    dyadic_interval,
     empirical_moment,
     evaluate_cost,
     generate_brownian,
@@ -16,7 +18,9 @@ from msa_control import (
     lq_embed,
     pathwise_cost,
     simulate_state,
+    spike_control,
 )
+from msa_control.paths import _BROWNIAN_BLOCK
 
 from conftest import scalar_spec
 
@@ -61,6 +65,20 @@ class TestGenerateBrownian:
         b = generate_brownian(grid, 6, 1, 5)
         assert np.array_equal(a.increments, b.increments[:3])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 5])
+    def test_stream_pinned_per_path(self, d, seed):
+        # path p is the Philox stream keyed by (seed, p), across block edges
+        grid = TimeGrid(T=1.0, depth=3)
+        M = _BROWNIAN_BLOCK + 1
+        W = generate_brownian(grid, M, d, seed)
+        assert W.increments.shape == (M, grid.steps, d)
+        for p in range(M):
+            key = np.array([seed & 0xFFFFFFFFFFFFFFFF, p], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            ref = gen.standard_normal((grid.steps, d)) * np.sqrt(grid.dt)
+            assert np.array_equal(W.increments[p], ref), p
+
 
 class TestSimulateState:
     def test_frozen_dynamics(self, zero_spec):
@@ -97,6 +115,14 @@ class TestSimulateState:
             SimulationError, match=r"path \d+, step \d+"
         ):
             simulate_state(spec, grid, W, u)
+
+    def test_step_slices_contiguous(self, zero_spec):
+        # time-major storage behind the path-major shapes
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, 5, 1, 0)
+        X = simulate_state(zero_spec, grid, W, ControlProcess.constant(0, 5, grid.steps, 3))
+        assert X.states.shape == (5, grid.steps + 1, 1)
+        assert X.states[:, 3].flags.c_contiguous and W.increments[:, 3].flags.c_contiguous
 
     def test_spike_locality(self):
         spec = get_problem("nonconvex-diffusion")
@@ -252,6 +278,19 @@ class TestBinaryRoundTrip:
         assert (M, steps, dim, seed) == (3, 5, 2, 9)
         assert len(raw) == 32 + 3 * 5 * 2 * 8
 
+    def test_time_major_states_dump_path_major(self, tmp_path):
+        spec = scalar_spec(sigma=lambda t, x, u: np.ones_like(x))
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, 4, 1, 2)
+        X = simulate_state(spec, grid, W, ControlProcess.constant(0, 4, grid.steps, 3))
+        path = tmp_path / "x.bin"
+        dump_array(path, X.states, 2)
+        raw = path.read_bytes()
+        rows = [X.states[p, i, 0] for p in range(4) for i in range(grid.steps + 1)]
+        assert raw[32:] == np.array(rows).tobytes()
+        back, _ = load_array(path)
+        assert np.array_equal(back, X.states)
+
 
 class TestControlProcess:
     def test_index_range_checked(self):
@@ -263,3 +302,13 @@ class TestControlProcess:
         u = ControlProcess.deterministic(row, 5, 3)
         assert u.values.shape == (5, 4)
         assert np.all(u.values == row[None, :])
+
+    def test_constant_is_read_only_and_spike_copies(self):
+        u = ControlProcess.constant(1, 4, 8, 3)
+        assert u.values.shape == (4, 8) and not u.values.flags.writeable
+        gaps = GapProcess(np.zeros((4, 8)), np.full((4, 8), 2, dtype=np.int64))
+        grid = TimeGrid(T=1.0, depth=3)
+        spiked = spike_control(u, gaps, dyadic_interval(1.0, 2, 2, grid))
+        assert spiked.values.flags.writeable
+        assert np.all(u.values == 1)
+        assert np.all(spiked.values[:, :4] == 1) and np.all(spiked.values[:, 4:] == 2)
