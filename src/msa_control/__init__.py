@@ -6,6 +6,7 @@ from .adjoint import (
     AdjointSecond,
     RegressionBasis,
     RegressionRankError,
+    adjoint_sweep,
     hessian_of_H,
     lq_closed_form_adjoint,
     regress_conditional,

@@ -1,8 +1,10 @@
 """Backward adjoint solvers via least-squares Monte Carlo regression.
 
 The first-order adjoint (p, q) and the second-order adjoint P are solved on
-the frozen ensemble by backward induction.  Conditional expectations are
-estimated by ridge-regularized polynomial regression on the state.  The q
+the frozen ensemble by one backward induction, ``adjoint_sweep``, which
+yields each step's slices as it computes them and stores none.  Conditional
+expectations are estimated by ridge-regularized polynomial regression on the
+state (Gobet, Lemor and Warin, Ann. Appl. Probab. 2005).  The q
 (and transient Q) targets use the quotient estimator p_{t+1} dW / dt with the
 regressed continuation value subtracted as a zero-mean control variate.
 
@@ -54,14 +56,39 @@ class RegressionBasis:
 
 @dataclass(frozen=True)
 class AdjointFirst:
-    p: Array  # (M, steps+1, n)
-    q: Array  # (M, steps, n, d)
+    p: Array  # (M, steps+1, n) view of a time-major buffer
+    q: Array  # (M, steps, n, d) view of a time-major buffer
 
 
 @dataclass(frozen=True)
 class AdjointSecond:
-    P: Array  # (M, steps+1, n, n), slices symmetrized
+    P: Array  # (M, steps+1, n, n) view of a time-major buffer, slices symmetrized
     max_presym_asymmetry: float = 0.0
+
+
+def _regressor(states: Array, basis: RegressionBasis):
+    """Features and ridge Gram matrix of one state slice, built once; the
+    returned fit(y) regresses any (M, ...) target block on them and returns
+    (coefficients, fitted values).  With ridge = 0 it uses lstsq."""
+    A = basis.features(np.asarray(states, dtype=float))
+    M, F = A.shape
+    if M <= F:
+        raise ValueError(f"need more samples ({M}) than features ({F})")
+    gram = A.T @ A + basis.ridge * np.eye(F) if basis.ridge > 0 else None
+
+    def fit(y: Array):
+        y2 = y.reshape(M, -1)
+        if gram is not None:
+            coef = np.linalg.solve(gram, A.T @ y2)
+        else:
+            coef, _, rank, _ = np.linalg.lstsq(A, y2, rcond=None)
+            if rank < F:
+                raise RegressionRankError(
+                    f"design matrix rank {rank} < {F} features; set ridge > 0"
+                )
+        return coef.reshape((F,) + y.shape[1:]), (A @ coef).reshape(y.shape)
+
+    return fit
 
 
 def regress_conditional(targets: Array, states: Array, basis: RegressionBasis):
@@ -69,81 +96,7 @@ def regress_conditional(targets: Array, states: Array, basis: RegressionBasis):
 
     targets: (M,) or (M, m) block.  Returns (coefficients, fitted values).
     """
-    y = np.asarray(targets, dtype=float)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
-    A = basis.features(np.asarray(states, dtype=float))
-    M, F = A.shape
-    if M <= F:
-        raise ValueError(f"need more samples ({M}) than features ({F})")
-    G = A.T @ A
-    rhs = A.T @ y
-    if basis.ridge > 0:
-        coef = np.linalg.solve(G + basis.ridge * np.eye(F), rhs)
-    else:
-        coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-        if rank < F:
-            raise RegressionRankError(
-                f"design matrix rank {rank} < {F} features; set ridge > 0"
-            )
-    fitted = A @ coef
-    if squeeze:
-        return coef[:, 0], fitted[:, 0]
-    return coef, fitted
-
-
-def _step_coeffs(spec: ProblemSpec, t: float, x: Array, u_pts: Array):
-    c = spec.coefficients
-    return (
-        np.asarray(c.b_x(t, x, u_pts)),
-        np.asarray(c.sigma_x(t, x, u_pts)),
-        np.asarray(c.f_x(t, x, u_pts)),
-    )
-
-
-def solve_first_adjoint(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    X: StateEnsemble,
-    u: ControlProcess,
-    basis: RegressionBasis,
-    W: BrownianEnsemble,
-) -> AdjointFirst:
-    """Backward regression scheme for the first-order adjoint BSDE.
-
-    p(T) = Phi_x(X_T) pathwise; then, descending in i,
-    q_i = regress((p_{i+1} - p_hat) dW_i / dt | X_i)  (control-variate quotient),
-    p_i = p_hat + dt [b_x' p_hat + sum_i (sigma_x^i)' q_i + f_x].
-    """
-    _check_provenance(X, u)
-    M, steps = u.values.shape
-    n, d = spec.n, spec.d
-    dt = grid.dt
-    pts = spec.domain.points
-    p = np.empty((M, steps + 1, n))
-    q = np.empty((M, steps, n, d))
-    p[:, steps] = np.asarray(spec.coefficients.Phi_x(X.states[:, steps]))
-    for i in range(steps - 1, -1, -1):
-        t = i * dt
-        xi = X.states[:, i]
-        ui = pts[u.values[:, i]]
-        pnext = p[:, i + 1]
-        _, phat = regress_conditional(pnext, xi, basis)
-        resid = pnext - phat
-        dw = W.increments[:, i]  # (M, d)
-        qtarget = resid[:, :, None] * dw[:, None, :] / dt  # (M, n, d)
-        _, qhat = regress_conditional(qtarget.reshape(M, n * d), xi, basis)
-        qhat = qhat.reshape(M, n, d)
-        b_x, sigma_x, f_x = _step_coeffs(spec, t, xi, ui)
-        driver = (
-            np.einsum("bjl,bj->bl", b_x, phat)
-            + np.einsum("bjli,bji->bl", sigma_x, qhat)
-            + f_x
-        )
-        p[:, i] = phat + dt * driver
-        q[:, i] = qhat
-    return AdjointFirst(p=p, q=q)
+    return _regressor(states, basis)(np.asarray(targets, dtype=float))
 
 
 def hessian_of_H(spec: ProblemSpec, t: float, x: Array, p: Array, q: Array, u_pts: Array) -> Array:
@@ -159,55 +112,99 @@ def hessian_of_H(spec: ProblemSpec, t: float, x: Array, p: Array, q: Array, u_pt
     )
 
 
-def solve_second_adjoint(
+def _terminal(spec: ProblemSpec, X: StateEnsemble):
+    """p(T) = Phi_x(X_T) and P(T) = Phi_xx(X_T), pathwise."""
+    c, x_T = spec.coefficients, X.states[:, -1]
+    return np.asarray(c.Phi_x(x_T)), np.asarray(c.Phi_xx(x_T))
+
+
+def adjoint_sweep(
     spec: ProblemSpec,
     grid: TimeGrid,
     X: StateEnsemble,
     u: ControlProcess,
-    adj1: AdjointFirst,
     basis: RegressionBasis,
     W: BrownianEnsemble,
-) -> AdjointSecond:
-    """Backward regression scheme for the matrix-valued second-order adjoint.
+):
+    """Backward regression sweep for both adjoints, one step at a time.
 
-    The martingale integrand Q is estimated transiently per step (it enters
-    the driver) but not stored: the H-function needs only P.
+    Yields (i, p_i, q_i, P_i, asym_i) for i = steps-1, ..., 0 and carries
+    only p and P of step i+1.  With p_hat = E[p_{i+1} | X_i],
+
+    q_i = regress((p_{i+1} - p_hat) dW_i / dt | X_i)  (control-variate quotient),
+    p_i = p_hat + dt [b_x' p_hat + sum_i (sigma_x^i)' q_i + f_x],
+
+    and the transient Q_i and P_i likewise, with H_xx at (p_i, q_i).  P_i is
+    symmetrized; asym_i is its relative asymmetry before that.
     """
     _check_provenance(X, u)
-    M, steps = u.values.shape
-    n, d = spec.n, spec.d
+    c = spec.coefficients
+    steps = u.values.shape[1]
     dt = grid.dt
     pts = spec.domain.points
-    P = np.empty((M, steps + 1, n, n))
-    P[:, steps] = np.asarray(spec.coefficients.Phi_xx(X.states[:, steps]))
-    max_asym = 0.0
+    p, P = _terminal(spec, X)
     for i in range(steps - 1, -1, -1):
         t = i * dt
         xi = X.states[:, i]
         ui = pts[u.values[:, i]]
-        pnext = P[:, i + 1].reshape(M, n * n)
-        _, phat_flat = regress_conditional(pnext, xi, basis)
-        Phat = phat_flat.reshape(M, n, n)
-        resid = (pnext - phat_flat).reshape(M, n, n)
-        dw = W.increments[:, i]
-        qtarget = resid[:, :, :, None] * dw[:, None, None, :] / dt  # (M,n,n,d)
-        _, qhat_flat = regress_conditional(qtarget.reshape(M, n * n * d), xi, basis)
-        Qhat = qhat_flat.reshape(M, n, n, d)
-        b_x, sigma_x, _ = _step_coeffs(spec, t, xi, ui)
-        Hxx = hessian_of_H(spec, t, xi, adj1.p[:, i], adj1.q[:, i], ui)
+        dw = W.increments[:, i]  # (M, d)
+        fit = _regressor(xi, basis)  # one Gram matrix for all four fits
+        phat, Phat = fit(p)[1], fit(P)[1]
+        q = fit((p - phat)[:, :, None] * dw[:, None, :] / dt)[1]
+        Qhat = fit((P - Phat)[:, :, :, None] * dw[:, None, None, :] / dt)[1]
+        b_x = np.asarray(c.b_x(t, xi, ui))
+        sigma_x = np.asarray(c.sigma_x(t, xi, ui))
+        f_x = np.asarray(c.f_x(t, xi, ui))
+        p = phat + dt * (
+            np.einsum("bjl,bj->bl", b_x, phat) + np.einsum("bjli,bji->bl", sigma_x, q) + f_x
+        )
         driver = (
             np.einsum("bjl,bjm->blm", b_x, Phat)
             + np.einsum("bjl,bjm->blm", Phat, b_x)
             + np.einsum("bjli,bjk,bkmi->blm", sigma_x, Phat, sigma_x)
             + np.einsum("bjli,bjmi->blm", sigma_x, Qhat)
             + np.einsum("bjli,bjmi->blm", Qhat, sigma_x)
-            + Hxx
+            + hessian_of_H(spec, t, xi, p, q, ui)
         )
         Pi = Phat + dt * driver
-        scale = 1.0 + np.abs(Pi).max()
-        max_asym = max(max_asym, float(np.abs(Pi - Pi.transpose(0, 2, 1)).max() / scale))
-        P[:, i] = 0.5 * (Pi + Pi.transpose(0, 2, 1))
-    return AdjointSecond(P=P, max_presym_asymmetry=max_asym)
+        asym = float(np.abs(Pi - Pi.transpose(0, 2, 1)).max() / (1.0 + np.abs(Pi).max()))
+        P = 0.5 * (Pi + Pi.transpose(0, 2, 1))
+        yield i, p, q, P, asym
+
+
+def _collect(spec, grid, X, u, basis, W):
+    """Drain adjoint_sweep into time-major buffers behind path-major views."""
+    M, steps = u.values.shape
+    n, d = spec.n, spec.d
+    p, q = np.empty((steps + 1, M, n)), np.empty((steps, M, n, d))
+    P = np.empty((steps + 1, M, n, n))
+    p[steps], P[steps] = _terminal(spec, X)
+    max_asym = 0.0
+    for i, p_i, q_i, P_i, asym in adjoint_sweep(spec, grid, X, u, basis, W):
+        p[i], q[i], P[i] = p_i, q_i, P_i
+        max_asym = max(max_asym, asym)
+    adj1 = AdjointFirst(p=p.transpose(1, 0, 2), q=q.transpose(1, 0, 2, 3))
+    return adj1, AdjointSecond(P=P.transpose(1, 0, 2, 3), max_presym_asymmetry=max_asym)
+
+
+def solve_first_adjoint(
+    spec: ProblemSpec, grid: TimeGrid, X: StateEnsemble, u: ControlProcess,
+    basis: RegressionBasis, W: BrownianEnsemble,
+) -> AdjointFirst:
+    """Every step of the first-order adjoint (p, q), collected from adjoint_sweep."""
+    return _collect(spec, grid, X, u, basis, W)[0]
+
+
+def solve_second_adjoint(
+    spec: ProblemSpec, grid: TimeGrid, X: StateEnsemble, u: ControlProcess,
+    adj1: AdjointFirst, basis: RegressionBasis, W: BrownianEnsemble,
+) -> AdjointSecond:
+    """Every step of the second-order adjoint P, collected from adjoint_sweep.
+
+    ``adj1`` is unused (the sweep solves p and q alongside P); it is kept
+    for the existing callers.
+    """
+    return _collect(spec, grid, X, u, basis, W)[1]
 
 
 def lq_closed_form_adjoint(

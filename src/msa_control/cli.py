@@ -20,7 +20,7 @@ import numpy as np
 
 from . import registry
 from .model import ControlDomain, LQSpec, ProblemSpec, lq_embed
-from .msa import MSAConfig, records_to_csv, records_to_json, run_msa
+from .msa import MSAConfig, check_run_inputs, records_to_csv, records_to_json, run_msa
 from .oracle import (
     rate_experiment,
     remainder_experiment,
@@ -70,7 +70,10 @@ def _problem_from_config(obj) -> ProblemSpec:
         raise ConfigError("'problem' must be a registry name or an object")
     if obj.get("type") != "lq":
         raise ConfigError("inline problems must have \"type\": \"lq\"")
-    return lq_embed(_lq_from_config(obj))
+    try:
+        return lq_embed(_lq_from_config(obj))
+    except ValueError as exc:  # ShapeError (x0 vs n) or an asymmetric G/Gamma
+        raise ConfigError(f"bad inline LQ problem: {exc}") from exc
 
 
 def _lq_from_config(obj: dict) -> LQSpec:
@@ -132,6 +135,10 @@ def cmd_solve(args) -> int:
     spec = _problem_from_config(cfg.get("problem", "lq-scalar"))
     config = _msa_config(cfg, args.seed)
     u0 = cfg.get("u0", "first-point")
+    try:
+        check_run_inputs(spec, config, u0)
+    except ValueError as exc:
+        raise ConfigError(f"bad run configuration: {exc}") from exc
     t0 = time.time()
     run = run_msa(spec, config, u0)
     out = Path(args.out)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import AdjointFirst, AdjointSecond
 from .model import ProblemSpec
-from .paths import ControlProcess, StateEnsemble, TimeGrid, _check_provenance
+from .paths import ControlProcess, SimulationError, StateEnsemble, TimeGrid, _check_provenance
 
 Array = np.ndarray
 
@@ -90,29 +89,37 @@ def minimize_h(
     return v_index, gap
 
 
+def _check_finite(stage: str, i: int, *blocks: Array) -> None:
+    for block in blocks:
+        bad = ~np.isfinite(block.reshape(block.shape[0], -1)).all(axis=1)
+        if bad.any():
+            raise SimulationError(
+                f"non-finite {stage} at step {i}, path {int(np.argmax(bad))}"
+            )
+
+
 def gap_process(
     spec: ProblemSpec,
     grid: TimeGrid,
     X: StateEnsemble,
     u: ControlProcess,
-    adj1: AdjointFirst,
-    adj2: AdjointSecond,
+    adjoints,
 ) -> GapProcess:
-    """Apply minimize_h at every (path, step) of the frozen ensemble."""
+    """Apply minimize_h at every (path, step) of the frozen ensemble.
+
+    ``adjoints`` yields one (i, p_i, q_i, P_i, asym_i) slice per step, in any
+    step order (``adjoint_sweep`` yields them backward); each slice is used
+    as it arrives.  A non-finite adjoint or gap raises SimulationError naming
+    the stage, the step and the first bad path.
+    """
     _check_provenance(X, u)
     M, steps = u.values.shape
     values = np.empty((M, steps))
     argmins = np.empty((M, steps), dtype=np.int64)
-    for i in range(steps):
-        v_idx, gap = minimize_h(
-            spec,
-            i * grid.dt,
-            X.states[:, i],
-            adj1.p[:, i],
-            adj1.q[:, i],
-            adj2.P[:, i],
-            u.values[:, i],
-        )
+    for i, p, q, P, _ in adjoints:
+        _check_finite("adjoint", i, p, q, P)
+        v_idx, gap = minimize_h(spec, i * grid.dt, X.states[:, i], p, q, P, u.values[:, i])
+        _check_finite("gap", i, gap)
         values[:, i] = gap
         argmins[:, i] = v_idx
     return GapProcess(values=values, argmin_indices=argmins)

@@ -1,8 +1,8 @@
 """Modified successive approximations: dyadic spike search and descent loop.
 
 Each iteration solves both adjoints and the Hamiltonian gap for the current
-control, then searches dyadic levels N = 1, 2, ... for a spike interval
-whose candidate control passes the descent acceptance test
+control in one backward sweep, then searches dyadic levels N = 1, 2, ... for
+a spike interval whose candidate control passes the descent acceptance test
 
     J(candidate) - J(u) <= eps_N * mu(u) / T
 
@@ -22,7 +22,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .adjoint import RegressionBasis, solve_first_adjoint, solve_second_adjoint
+from .adjoint import RegressionBasis, adjoint_sweep
 from .hamiltonian import GapProcess, gap_process, mu
 from .model import ProblemSpec
 from .paths import (
@@ -158,19 +158,23 @@ def prepare_state(
     basis: RegressionBasis,
     m: int = 0,
 ) -> SolverState:
-    """Solve both adjoints and evaluate mu for a control already simulated
-    (X) and costed (J) on the frozen ensemble."""
-    adj1 = solve_first_adjoint(spec, grid, X, u, basis, W)
-    adj2 = solve_second_adjoint(spec, grid, X, u, adj1, basis, W)
-    gaps = gap_process(spec, grid, X, u, adj1, adj2)
+    """Evaluate the gap process and mu for a control already simulated (X)
+    and costed (J) on the frozen ensemble, in one backward adjoint sweep."""
+    gaps = gap_process(spec, grid, X, u, adjoint_sweep(spec, grid, X, u, basis, W))
     return SolverState(m=m, u=u, X=X, gaps=gaps, J=J, mu=mu(gaps, grid))
 
 
-def _require_finite(state: SolverState) -> SolverState:
-    """Stop on a non-finite cost or gap statistic instead of iterating on NaN."""
-    for stage, value in (("cost", state.J), ("mu", state.mu)):
-        if not np.isfinite(value):
-            raise SimulationError(f"non-finite {stage} {value!r} at iteration {state.m}")
+def _require_finite(stage: str, value: float, m: int) -> None:
+    if not np.isfinite(value):
+        raise SimulationError(f"non-finite {stage} {value!r} at iteration {m}")
+
+
+def _prepare_finite(spec, grid, W, u, X, J, basis, m=0) -> SolverState:
+    """prepare_state that stops on a non-finite cost (before the adjoint
+    sweep) or mu instead of iterating on NaN."""
+    _require_finite("cost", J, m)
+    state = prepare_state(spec, grid, W, u, X, J, basis, m)
+    _require_finite("mu", state.mu, m)
     return state
 
 
@@ -250,6 +254,24 @@ def _initial_control(
     raise ValueError(f"unknown initializer {u0!r}")
 
 
+def check_run_inputs(
+    spec: ProblemSpec, config: MSAConfig, u0: Union[ControlProcess, str, int, None]
+) -> None:
+    """Raise ValueError for a problem, config and initializer that cannot
+    run together, before any path is simulated."""
+    features = config.basis.feature_count(spec.n)
+    if config.M <= features:
+        raise ValueError(f"M={config.M} must exceed the {features} regression features")
+    if isinstance(u0, bool) or not (
+        u0 is None
+        or isinstance(u0, (ControlProcess, int))
+        or u0 in ("first-point", "worst-constant")
+    ):
+        raise ValueError(f"unknown initializer {u0!r}")
+    if isinstance(u0, int) and not 0 <= u0 < spec.domain.size:
+        raise ValueError(f"initial control index {u0} outside 0..{spec.domain.size - 1}")
+
+
 def run_msa(
     spec: ProblemSpec,
     config: MSAConfig,
@@ -263,9 +285,7 @@ def run_msa(
     basis = config.basis
     u = _initial_control(spec, grid, W, u0)
     X = simulate_state(spec, grid, W, u)
-    state = _require_finite(
-        prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), basis)
-    )
+    state = _prepare_finite(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), basis)
     J0, mu0 = state.J, state.mu
     records: list = []
     termination = "budget"
@@ -275,9 +295,7 @@ def run_msa(
             termination = outcome.kind
             break
         records.append(outcome.record)
-        state = _require_finite(
-            prepare_state(spec, grid, W, *outcome.candidate, basis, m=state.m + 1)
-        )
+        state = _prepare_finite(spec, grid, W, *outcome.candidate, basis, m=state.m + 1)
     # terminal row: final J and mu, re-checkable against the last accepted row
     records.append(
         IterationRecord(

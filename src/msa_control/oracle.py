@@ -419,13 +419,14 @@ def variational_simulate(
     spec: ProblemSpec,
     grid: TimeGrid,
     W: BrownianEnsemble,
-    u: ControlProcess,
+    X: StateEnsemble,
     gaps: GapProcess,
     interval: Union[DyadicInterval, Tuple[int, int]],
 ):
     """Euler-integrate the two variational SDEs and the spike-expansion defect.
 
-    Returns (VariationalEnsemble, e) with
+    X is the base control's simulated ensemble; the base control is its
+    ``control_values``.  Returns (VariationalEnsemble, e) with
     e = mean over paths of sup_i |X_spike - X - X1 - X2|^2.
     """
     c = spec.coefficients
@@ -433,15 +434,15 @@ def variational_simulate(
         if getattr(c, name) is None:
             raise ValueError(f"second derivative {name} required for variational SDEs")
     lo, hi = interval.step_range if isinstance(interval, DyadicInterval) else interval
-    M, steps = u.values.shape
+    u_vals = X.control_values
+    M, steps = u_vals.shape
     n = spec.n
     dt = grid.dt
     pts = spec.domain.points
 
-    X = simulate_state(spec, grid, W, u)
-    vals = u.values.copy()
+    vals = u_vals.copy()
     vals[:, lo:hi] = gaps.argmin_indices[:, lo:hi]
-    cand = ControlProcess(vals, u.num_points)
+    cand = ControlProcess(vals, spec.domain.size)
     X_sp = simulate_state(spec, grid, W, cand)
 
     X1 = np.zeros((steps + 1, M, n))
@@ -449,7 +450,7 @@ def variational_simulate(
     for i in range(steps):
         t = i * dt
         xi = X.states[:, i]
-        ui = pts[u.values[:, i]]
+        ui = pts[u_vals[:, i]]
         vi = pts[gaps.argmin_indices[:, i]]
         on = 1.0 if lo <= i < hi else 0.0
         dw = W.increments[:, i]  # (M, d)
@@ -524,7 +525,7 @@ def variational_experiment(
     rows = []
     for eps in eps_list:
         lo, hi = _interval_steps(tau, eps, grid)
-        _, e = variational_simulate(spec, grid, W, u, state.gaps, (lo, hi))
+        _, e = variational_simulate(spec, grid, W, X, state.gaps, (lo, hi))
         rows.append((float(eps), e))
     positive = [(e, v) for e, v in rows if v > 0]
     if len(positive) >= 2:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from msa_control import CoefficientSet, ControlDomain, ProblemSpec
+from msa_control import CoefficientSet, ControlDomain, LQSpec, ProblemSpec
 
 
 def _zero(t, x, u):
@@ -54,6 +54,25 @@ def scalar_spec(
     )
     dom = ControlDomain(np.asarray(domain, dtype=float)[:, None])
     return ProblemSpec(n=1, d=1, k=1, T=T, x0=[float(x0)], coefficients=coeffs, domain=dom)
+
+
+def coupled_lq2d():
+    """n = d = k = 2: non-symmetric b1, sigma_u coupling both controls into
+    both noise columns, and a star-shaped (non-convex) control grid without
+    the origin."""
+    g = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    pts = [(a, b) for a in g for b in g if (a or b) and (a == 0 or b == 0 or abs(a) == abs(b))]
+    mix = np.array([[[0.5, 0.1], [0.2, 0.0]], [[0.0, 0.3], [0.1, 0.4]]])  # (k, n, d)
+    return LQSpec(
+        n=2, d=2, k=2, T=1.0, x0=[1.0, -0.5],
+        b1=lambda t: np.array([[-0.5, 0.3], [-0.2, -0.1]]),
+        b2=lambda t: np.array([0.1, 0.0]),
+        G=lambda t: np.array([[1.0, 0.2], [0.2, 0.5]]),
+        Gamma=np.eye(2),
+        sigma_u=lambda t, u: 0.3 * np.eye(2) + np.einsum("bk,knd->bnd", u, mix),
+        g=lambda t, u: 0.1 * np.sum(u**2, axis=1),
+        domain=ControlDomain(np.array(pts)),
+    )
 
 
 @pytest.fixture

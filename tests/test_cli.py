@@ -5,6 +5,20 @@ import pytest
 from msa_control.cli import EXIT_CONFIG, EXIT_OK, main
 
 
+INLINE_LQ = {
+    "type": "lq",
+    "n": 1, "d": 1, "k": 1, "T": 1.0,
+    "x0": [1.0],
+    "b1": [[-0.5]],
+    "G": [[1.0]],
+    "Gamma": [[1.0]],
+    "sigma0": [[0.3]],
+    "sigma_u": [[[0.5]]],
+    "g_quad": [[0.2]],
+    "domain": [[-1.0], [0.0], [1.0]],
+}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {"problem": "lq-scalar", "M": 200, "G": 4, "m_max": 3}
     cfg.update(overrides)
@@ -66,21 +80,32 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"M": 3}, {"u0": "bogus"}, {"u0": 99}, {"u0": -1}],
+        ids=["M-not-above-features", "u0-unknown", "u0-index-99", "u0-index-minus-1"],
+    )
+    def test_invalid_run_input(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_inline_lq_x0_length_mismatch(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, problem={**INLINE_LQ, "x0": [1.0, 2.0]})
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad inline LQ problem") and err.count("\n") == 1
+        assert "x0" in err
+
     def test_inline_lq_problem(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            problem={
-                "type": "lq",
-                "n": 1, "d": 1, "k": 1, "T": 1.0,
-                "x0": [1.0],
-                "b1": [[-0.5]],
-                "G": [[1.0]],
-                "Gamma": [[1.0]],
-                "sigma0": [[0.3]],
-                "sigma_u": [[[0.5]]],
-                "g_quad": [[0.2]],
-                "domain": [[-1.0], [0.0], [1.0]],
-            },
+            problem=INLINE_LQ,
         )
         out = tmp_path / "out"
         rc = main(["solve", "--config", str(cfg), "--out", str(out)])

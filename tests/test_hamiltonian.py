@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from msa_control import (
-    ControlDomain,
     ControlProcess,
     GapProcess,
-    LQSpec,
     RegressionBasis,
     TimeGrid,
+    adjoint_sweep,
     build_oracle,
     gap_process,
     generate_brownian,
     get_lq,
+    get_problem,
     h_function,
     hamiltonian,
     lq_closed_form_adjoint,
@@ -23,26 +23,12 @@ from msa_control import (
     solve_second_adjoint,
 )
 
-from conftest import scalar_spec
+from conftest import coupled_lq2d, scalar_spec
 
 
-def coupled_lq2d():
-    """n = d = k = 2: non-symmetric b1, sigma_u coupling both controls into
-    both noise columns, and a star-shaped (non-convex) control grid without
-    the origin."""
-    g = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    pts = [(a, b) for a in g for b in g if (a or b) and (a == 0 or b == 0 or abs(a) == abs(b))]
-    mix = np.array([[[0.5, 0.1], [0.2, 0.0]], [[0.0, 0.3], [0.1, 0.4]]])  # (k, n, d)
-    return lq_embed(LQSpec(
-        n=2, d=2, k=2, T=1.0, x0=[1.0, -0.5],
-        b1=lambda t: np.array([[-0.5, 0.3], [-0.2, -0.1]]),
-        b2=lambda t: np.array([0.1, 0.0]),
-        G=lambda t: np.array([[1.0, 0.2], [0.2, 0.5]]),
-        Gamma=np.eye(2),
-        sigma_u=lambda t, u: 0.3 * np.eye(2) + np.einsum("bk,knd->bnd", u, mix),
-        g=lambda t, u: 0.1 * np.sum(u**2, axis=1),
-        domain=ControlDomain(np.array(pts)),
-    ))
+def stored_slices(adj1, adj2):
+    """Per-step (i, p_i, q_i, P_i, asym) slices of stored adjoint arrays."""
+    return ((i, adj1.p[:, i], adj1.q[:, i], adj2.P[:, i], 0.0) for i in range(adj1.q.shape[1]))
 
 
 def batch(*vals):
@@ -129,7 +115,7 @@ class TestMinimizeH:
     def test_gap_nonpositive_property(self):
         # on the 2-D problem rows 0-7 get p = q = P = 0, so candidates differ
         # only in the control cost, whose four points of norm 1/2 tie exactly
-        for spec, ties in ((lq_embed(get_lq("lq-scalar")), 0), (coupled_lq2d(), 8)):
+        for spec, ties in ((lq_embed(get_lq("lq-scalar")), 0), (lq_embed(coupled_lq2d()), 8)):
             rng = np.random.default_rng(0)
             n, d = spec.n, spec.d
             x = rng.normal(size=(64, n))
@@ -164,9 +150,25 @@ class TestGapProcess:
         X = simulate_state(zero_spec, grid, W, u)
         adj1 = solve_first_adjoint(zero_spec, grid, X, u, RegressionBasis(), W)
         adj2 = solve_second_adjoint(zero_spec, grid, X, u, adj1, RegressionBasis(), W)
-        gaps = gap_process(zero_spec, grid, X, u, adj1, adj2)
+        gaps = gap_process(zero_spec, grid, X, u, stored_slices(adj1, adj2))
         assert np.all(gaps.values == 0.0)
         assert np.all(gaps.argmin_indices == 0)
+
+    @pytest.mark.parametrize("name", ["nonconvex-diffusion", "coupled-2d"])
+    def test_streamed_sweep_equals_stored_arrays(self, name):
+        spec = lq_embed(coupled_lq2d()) if name == "coupled-2d" else get_problem(name)
+        grid = TimeGrid(T=spec.T, depth=4)
+        W = generate_brownian(grid, 300, spec.d, 5)
+        u = ControlProcess.constant(spec.domain.size - 1, 300, grid.steps, spec.domain.size)
+        X = simulate_state(spec, grid, W, u)
+        basis = RegressionBasis()
+        streamed = gap_process(spec, grid, X, u, adjoint_sweep(spec, grid, X, u, basis, W))
+        adj1 = solve_first_adjoint(spec, grid, X, u, basis, W)
+        adj2 = solve_second_adjoint(spec, grid, X, u, adj1, basis, W)
+        stored = gap_process(spec, grid, X, u, stored_slices(adj1, adj2))
+        assert np.array_equal(streamed.values, stored.values)
+        assert np.array_equal(streamed.argmin_indices, stored.argmin_indices)
+        assert np.any(stored.values < 0.0)
 
     def test_gaps_nonpositive_on_registry(self):
         lq = get_lq("lq-scalar")
@@ -176,7 +178,7 @@ class TestGapProcess:
         u = ControlProcess.constant(spec.domain.size - 1, 500, grid.steps, spec.domain.size)
         X = simulate_state(spec, grid, W, u)
         adj1, adj2 = lq_closed_form_adjoint(lq, grid, X, u)
-        gaps = gap_process(spec, grid, X, u, adj1, adj2)
+        gaps = gap_process(spec, grid, X, u, stored_slices(adj1, adj2))
         assert np.all(gaps.values <= 1e-12)
 
 
@@ -203,13 +205,13 @@ class TestMu:
         u_star = ControlProcess.deterministic(oracle.u_star, M, spec.domain.size)
         X_star = simulate_state(spec, grid, W, u_star)
         a1, a2 = lq_closed_form_adjoint(lq, grid, X_star, u_star)
-        gaps_star = gap_process(spec, grid, X_star, u_star, a1, a2)
+        gaps_star = gap_process(spec, grid, X_star, u_star, stored_slices(a1, a2))
         mu_star = mu(gaps_star, grid)
 
         u0 = ControlProcess.constant(spec.domain.size - 1, M, grid.steps, spec.domain.size)
         X0 = simulate_state(spec, grid, W, u0)
         b1, b2 = lq_closed_form_adjoint(lq, grid, X0, u0)
-        mu0 = mu(gap_process(spec, grid, X0, u0, b1, b2), grid)
+        mu0 = mu(gap_process(spec, grid, X0, u0, stored_slices(b1, b2)), grid)
 
         assert abs(mu_star) <= 0.05 * abs(mu0)
         deep = np.mean(gaps_star.values < -10.0 * grid.dt)

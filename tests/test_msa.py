@@ -14,6 +14,7 @@ from msa_control import (
     find_descent_interval,
     generate_brownian,
     get_lq,
+    lq_closed_form_adjoint,
     lq_embed,
     msa_step,
     mu,
@@ -22,12 +23,14 @@ from msa_control import (
     records_to_csv,
     run_msa,
     simulate_state,
+    solve_first_adjoint,
+    solve_second_adjoint,
     spike_control,
 )
 
 from msa_control.msa import IterationRecord, SolverState
 
-from conftest import scalar_spec
+from conftest import coupled_lq2d, scalar_spec
 
 
 class TestDyadicInterval:
@@ -199,24 +202,70 @@ class TestRunMsa:
         assert check_descent_log(run.records, spec.T)
 
     @pytest.mark.parametrize(
-        "f, stage",
+        "f, f_x, value, stage",
         [
-            (lambda t, x, u: np.sqrt(x), "cost"),  # negative states: J is NaN
-            (lambda t, x, u: np.sqrt(np.abs(x)), "mu"),  # J finite, f_x is NaN
+            # negative states: J is NaN
+            (lambda t, x, u: np.sqrt(x), lambda t, x, u: 0.5 / np.sqrt(x), "nan", "cost"),
+            # J = 0 under the base control u = -1 and every gap is a finite
+            # -2e307, but their sum over the paths overflows
+            (lambda t, x, u: -1e307 * (u + 1.0), None, "-inf", "mu"),
         ],
         ids=["cost", "mu"],
     )
-    def test_nonfinite_raises_with_stage(self, f, stage):
-        spec = scalar_spec(
-            sigma=lambda t, x, u: np.full_like(x, 0.5),
-            f=f,
-            f_x=lambda t, x, u: 0.5 / np.sqrt(x),
-            x0=0.2,
-        )
-        with np.errstate(invalid="ignore"), pytest.raises(
-            SimulationError, match=rf"non-finite {stage} nan at iteration 0"
+    def test_nonfinite_raises_with_stage(self, f, f_x, value, stage):
+        spec = scalar_spec(sigma=lambda t, x, u: np.full_like(x, 0.5), f=f, f_x=f_x, x0=0.2)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            SimulationError, match=rf"non-finite {stage} {value} at iteration 0"
         ):
             run_msa(spec, MSAConfig(M=200, depth=3, N_max=3, m_max=2))
+
+    @pytest.mark.parametrize("stage", ["adjoint", "gap"])
+    def test_nonfinite_step_names_step_and_path(self, stage):
+        # NaN above x = 0.6: in f_x (so in p_i), or in f at the candidate
+        # u = 1 only (so in the H-function gap, while J and the adjoints stay
+        # finite under the base control u = -1)
+        thr = 0.6
+        if stage == "adjoint":
+            pieces = {"f_x": lambda t, x, u: np.where(x > thr, np.nan, 0.0)}
+        else:
+            pieces = {"f": lambda t, x, u: np.where((x > thr) & (u > 0), np.nan, 0.0)}
+        spec = scalar_spec(sigma=lambda t, x, u: np.full_like(x, 0.5), x0=0.2, **pieces)
+        config = MSAConfig(M=200, depth=3, N_max=3, m_max=2)
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, config.M, 1, config.seed)
+        u = ControlProcess.constant(0, config.M, grid.steps, 3)
+        x = simulate_state(spec, grid, W, u).states[:, :-1, 0]
+        # the sweep runs backward, so the last step with a state above the
+        # threshold fails first, at its first such path
+        step = max(i for i in range(grid.steps) if np.any(x[:, i] > thr))
+        path = int(np.argmax(x[:, step] > thr))
+        with pytest.raises(
+            SimulationError, match=rf"^non-finite {stage} at step {step}, path {path}$"
+        ):
+            run_msa(spec, config)
+
+    def test_coupled_2d_end_to_end(self):
+        # n = d = k = 2 through the whole solver: every einsum of the sweep
+        # and the H-minimization runs with non-trivial index ranges
+        lq = coupled_lq2d()
+        spec = lq_embed(lq)
+        config = MSAConfig(M=500, depth=4, N_max=4, m_max=5, seed=0)
+        run = run_msa(spec, config, "worst-constant")
+        assert sum(r.accepted for r in run.records) >= 2
+        assert run.J_final < run.J0
+        assert check_descent_log(run.records, spec.T)
+
+        u, W = run.final_control, run.ensemble
+        X = simulate_state(spec, run.grid, W, u)
+        adj1 = solve_first_adjoint(spec, run.grid, X, u, config.basis, W)
+        adj2 = solve_second_adjoint(spec, run.grid, X, u, adj1, config.basis, W)
+        ref1, ref2 = lq_closed_form_adjoint(lq, run.grid, X, u)
+
+        def rel(est, ref):
+            return np.sqrt(np.mean((est - ref) ** 2)) / np.sqrt(np.mean(ref**2))
+
+        assert rel(adj1.p, ref1.p) <= 0.05
+        assert rel(adj2.P, ref2.P) <= 0.05
 
     def test_monotone_accepted_cost(self):
         spec = lq_embed(get_lq("lq-scalar"))

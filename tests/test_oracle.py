@@ -173,7 +173,8 @@ class TestVariationalSimulate:
             np.zeros((M, grid.steps)),
             np.full((M, grid.steps), 3, dtype=np.int64),
         )
-        ens, e = variational_simulate(spec, grid, W, u, gaps, (4, 8))
+        X = simulate_state(spec, grid, W, u)
+        ens, e = variational_simulate(spec, grid, W, X, gaps, (4, 8))
         assert np.all(ens.X1 == 0.0) and np.all(ens.X2 == 0.0)
         assert e == 0.0
 
@@ -190,7 +191,8 @@ class TestVariationalSimulate:
             np.full((M, grid.steps), 2, dtype=np.int64),
         )
         lo, hi = 4, 8
-        ens, e = variational_simulate(spec, grid, W, u, gaps, (lo, hi))
+        X = simulate_state(spec, grid, W, u)
+        ens, e = variational_simulate(spec, grid, W, X, gaps, (lo, hi))
         inc = W.increments[:, :, 0]
         expect = np.zeros((M, grid.steps + 1))
         run = np.cumsum(inc[:, lo:hi], axis=1)
@@ -213,7 +215,28 @@ class TestVariationalSimulate:
         u = ControlProcess.constant(0, 5, grid.steps, bad.domain.size)
         gaps = GapProcess(np.zeros((5, 8)), np.zeros((5, 8), dtype=np.int64))
         with pytest.raises(ValueError, match="b_xx"):
-            variational_simulate(bad, grid, W, u, gaps, (0, 4))
+            variational_simulate(bad, grid, W, simulate_state(bad, grid, W, u), gaps, (0, 4))
+
+
+class TestVariationalExperiment:
+    def test_base_control_simulated_once(self, monkeypatch):
+        from msa_control import oracle
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return simulate_state(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "simulate_state", counting)
+        spec = get_problem("nonconvex-diffusion")
+        eps_list = [spec.T * 2.0 ** (-N) for N in range(2, 5)]
+        config = MSAConfig(M=200, depth=5, N_max=5, seed=1)
+        res = oracle.variational_experiment(spec, spec.domain.size - 1, 0.5, eps_list, config)
+        assert len(res.rows) == len(eps_list)
+        # one base simulation, then one spiked candidate per eps
+        assert len(calls) == 1 + len(eps_list)
+        assert np.all(calls[0].values == spec.domain.size - 1)
 
 
 class TestSequenceLemma:
