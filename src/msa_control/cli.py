@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import registry
+from .adjoint import RegressionRankError
 from .model import ControlDomain, LQSpec, ProblemSpec, lq_embed
 from .msa import MSAConfig, check_run_inputs, records_to_csv, records_to_json, run_msa
 from .oracle import (
@@ -207,8 +208,19 @@ def cmd_validate(args) -> int:
         cfg.setdefault("G", 7)
     config = _msa_config(cfg, args.seed)
     tau = spec.T / 2.0
-    eps_list = [spec.T * 2.0 ** (-N) for N in range(2, 7)]
-    u0 = int(cfg.get("u0_index", spec.domain.size - 1))
+    levels = range(2, 7)
+    eps_list = [spec.T * 2.0 ** (-N) for N in levels]
+    if config.depth < levels[-1]:
+        # tau +- T 2^-N lies on the grid only when the grid has 2^N steps
+        raise ConfigError(
+            f"G={config.depth} must be at least {levels[-1]} for eps down to T*2^-{levels[-1]}"
+        )
+    try:
+        u0 = int(cfg.get("u0_index", spec.domain.size - 1))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad u0_index: {exc}") from exc
+    if not 0 <= u0 < spec.domain.size:
+        raise ConfigError(f"u0_index {u0} outside 0..{spec.domain.size - 1}")
     if args.experiment == "remainder":
         res = remainder_experiment(spec, u0, tau, eps_list, config)
         _write(out, "remainder.csv", res.csv())
@@ -257,7 +269,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (
+        SimulationError, RegressionRankError, np.linalg.LinAlgError, FloatingPointError
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

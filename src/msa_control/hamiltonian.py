@@ -26,18 +26,23 @@ class GapProcess:
     argmin_indices: Array  # (M, steps) domain indices
 
 
+def _h_terms(p: Array, q: Array, b: Array, sig: Array, f: Array) -> Array:
+    # p'b + <q, sigma> + f; b, sig, f may carry a leading candidate axis
+    # that the per-path p and q broadcast against
+    return np.einsum("bi,...bi->...b", p, b) + np.einsum("bid,...bid->...b", q, sig) + f
+
+
 def hamiltonian(spec: ProblemSpec, t: float, x: Array, p: Array, q: Array, u_pts: Array) -> Array:
     """H = p'b + <q, sigma> + f, batched over the leading axis."""
     c = spec.coefficients
     b = np.asarray(c.b(t, x, u_pts))
     sig = np.asarray(c.sigma(t, x, u_pts))
-    f = np.asarray(c.f(t, x, u_pts))
-    return np.einsum("bi,bi->b", p, b) + np.einsum("bid,bid->b", q, sig) + f
+    return _h_terms(p, q, b, sig, np.asarray(c.f(t, x, u_pts)))
 
 
 def _quad(A: Array, P: Array) -> Array:
-    # sum_i (A^i)' P A^i for A (B,n,d), P (B,n,n)
-    return np.einsum("bid,bij,bjd->b", A, P, A)
+    # sum_i (A^i)' P A^i for A (..., B, n, d), P (B, n, n)
+    return np.einsum("...bid,bij,...bjd->...b", A, P, A)
 
 
 def h_function(
@@ -50,11 +55,23 @@ def h_function(
     v_pts: Array,
     u_pts: Array,
 ) -> Array:
-    """Generalized Hamiltonian evaluated at candidate v against base control u."""
+    """Generalized Hamiltonian evaluated at candidate v against base control u.
+
+    x, p, q, P and u_pts hold one row per path (B rows).  v_pts is either
+    (B, k) or a candidate block (V, B, k), giving a (B,) or (V, B) result.
+    b, sigma and f are evaluated once on the candidate rows; sigma(u) and
+    its quadratic term once on the path rows.
+    """
     c = spec.coefficients
-    sig_v = np.asarray(c.sigma(t, x, v_pts))
+    lead = v_pts.shape[:-1]
+    # the coefficient callables take (rows, n): expand x to the candidate rows
+    xv = np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
+    vv = v_pts.reshape(-1, v_pts.shape[-1])
+    b = np.asarray(c.b(t, xv, vv)).reshape(lead + (spec.n,))
+    sig_v = np.asarray(c.sigma(t, xv, vv)).reshape(lead + (spec.n, spec.d))
+    f = np.asarray(c.f(t, xv, vv)).reshape(lead)
     sig_u = np.asarray(c.sigma(t, x, u_pts))
-    H = hamiltonian(spec, t, x, p, q, v_pts)
+    H = _h_terms(p, q, b, sig_v, f)
     return H + 0.5 * _quad(sig_v - sig_u, P) - 0.5 * _quad(sig_u, P)
 
 
@@ -71,18 +88,13 @@ def minimize_h(
 
     Returns (v_index, gap) with gap = H(v) - H(u) <= 0; ties broken by the
     smallest domain index.  All V candidates for all B paths go through one
-    h_function call on V*B candidate-major rows.
+    h_function call on a (V, B, k) candidate block.
     """
     pts = spec.domain.points
     V, B = pts.shape[0], x.shape[0]
     u_index = np.asarray(u_index)
-
-    def tile(a):  # V stacked copies of a per-path block
-        return np.concatenate([a] * V)
-
-    v_pts = np.repeat(pts, B, axis=0)
-    vals = h_function(spec, t, tile(x), tile(p), tile(q), tile(P), v_pts, tile(pts[u_index]))
-    vals = vals.reshape(V, B)
+    v_block = np.broadcast_to(pts[:, None, :], (V, B, pts.shape[1]))
+    vals = h_function(spec, t, x, p, q, P, v_block, pts[u_index])
     v_index = np.argmin(vals, axis=0)  # argmin takes the first minimum
     rows = np.arange(B)
     gap = vals[v_index, rows] - vals[u_index, rows]

@@ -285,7 +285,7 @@ def lq_embed(lq: LQSpec) -> ProblemSpec:
             raise ValueError(f"G(t) must be symmetric (violated at t={t})")
 
     def b(t, x, u):
-        return x @ np.asarray(lq.b1(t)).T + np.asarray(lq.b2(t))[None, :]
+        return np.einsum("ij,bj->bi", np.asarray(lq.b1(t)), x) + np.asarray(lq.b2(t))[None, :]
 
     def b_x(t, x, u):
         return np.broadcast_to(np.asarray(lq.b1(t)), (x.shape[0], n, n)).copy()

@@ -31,6 +31,7 @@ from .paths import (
     SimulationError,
     StateEnsemble,
     TimeGrid,
+    _euler_step,
     evaluate_cost,
     generate_brownian,
     simulate_state,
@@ -246,12 +247,34 @@ def _initial_control(
     if isinstance(u0, int):
         return ControlProcess.constant(u0, M, steps, V)
     if u0 == "worst-constant":
-        costs = []
-        for idx in range(V):
-            u = ControlProcess.constant(idx, M, steps, V)
-            costs.append(evaluate_cost(spec, grid, simulate_state(spec, grid, W, u), u))
-        return ControlProcess.constant(int(np.argmax(costs)), M, steps, V)
+        return ControlProcess.constant(_worst_constant(spec, grid, W), M, steps, V)
     raise ValueError(f"unknown initializer {u0!r}")
+
+
+def _worst_constant(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble) -> int:
+    """Index of the costliest constant control (ties: the smallest index).
+
+    One Euler pass over all V controls on V*M candidate-major rows keeps only
+    the current state and a running cost (f dt by ascending step, Phi last).
+    """
+    c = spec.coefficients
+    pts = spec.domain.points
+    V, M = pts.shape[0], W.M
+    u_pts = np.repeat(pts, M, axis=0)
+    x = np.broadcast_to(spec.x0, (V * M, spec.n))
+    cost = np.zeros(V * M)
+    for i in range(W.steps):
+        cost += np.asarray(c.f(i * grid.dt, x, u_pts)) * grid.dt
+        x = _euler_step(spec, grid, i, x, u_pts, np.tile(W.increments[:, i], (V, 1)))
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise SimulationError(
+                f"non-finite state under constant control {row // M} "
+                f"at path {row % M}, step {i + 1}"
+            )
+    cost += np.asarray(c.Phi(x))
+    return int(np.argmax(cost.reshape(V, M).sum(axis=1) / M))
 
 
 def check_run_inputs(
@@ -262,6 +285,9 @@ def check_run_inputs(
     features = config.basis.feature_count(spec.n)
     if config.M <= features:
         raise ValueError(f"M={config.M} must exceed the {features} regression features")
+    if config.ridge == 0 and config.degree >= 1:
+        # every path starts at x0, so the step-0 design matrix has rank 1
+        raise ValueError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")
     if isinstance(u0, bool) or not (
         u0 is None
         or isinstance(u0, (ControlProcess, int))

@@ -160,7 +160,7 @@ def rate_experiment(
     for rec in run.records:
         m1 = rec.m + 1  # 1-based: row 1 is the initial control
         a = rec.J - J_star_saa
-        rows.append((m1, a, a * np.sqrt(m1)))
+        rows.append((m1, a, float(a * np.sqrt(m1))))
     if len(rows) >= 2:
         ms = np.array([r[0] for r in rows], dtype=float)
         avals = np.array([max(r[1], floor) for r in rows])
@@ -328,6 +328,32 @@ def _direct_remainder(spec, u, tau, eps_list, config):
     return rows, ses
 
 
+def _lattice_interp(x: Array, xs: Array, fp: Array) -> Array:
+    """np.interp(x, xs, fp) on a uniform increasing lattice, bit for bit.
+
+    The bracketing node is read off (x - xs[0]) / dx and corrected by one
+    comparison on each side, so it equals np.interp's binary-search result;
+    the interpolation then repeats np.interp's own arithmetic.  In-place
+    steps keep the number of live x-sized temporaries small.
+    """
+    last = xs.shape[0] - 1
+    t = np.subtract(x, xs[0])
+    t /= xs[1] - xs[0]
+    j = np.clip(np.floor(t, out=t), 0, last - 1, out=t).astype(np.intp)
+    del t
+    j -= (x < xs[j]) & (j > 0)
+    j += (x >= xs[j + 1]) & (j < last - 1)
+    xj = xs[j]
+    out = np.subtract(x, xj)
+    out *= ((fp[1:] - fp[:-1]) / (xs[1:] - xs[:-1]))[j]
+    fj = fp[j]
+    out += fj
+    np.copyto(out, fj, where=x == xj)
+    out[x < xs[0]] = fp[0]
+    out[x >= xs[last]] = fp[last]
+    return out
+
+
 def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     """Conditional CRN estimator for scalar problems with a constant base
     control.
@@ -356,7 +382,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     for i in range(grid.steps):
         inside = [acc for (lo, hi), acc in zip(ranges, gap_paths) if lo <= i < hi]
         if inside:
-            term = np.interp(paths[:, i], xs, S[i]) * grid.dt
+            term = _lattice_interp(paths[:, i], xs, S[i]) * grid.dt
             for acc in inside:
                 acc += term
     rows, ses = [], []
@@ -364,7 +390,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
         delta = np.zeros(nx)
         for i in range(hi - 1, lo - 1, -1):
             delta = _cn_step(delta, fields.b_sel[i], fields.s2_sel[i], S[i], grid.dt, dx)
-        r = np.interp(paths[:, lo], xs, delta) - gap_path
+        r = _lattice_interp(paths[:, lo], xs, delta) - gap_path
         rows.append((float(eps), float(np.sum(r) / config.M)))
         ses.append(float(np.std(r) / np.sqrt(config.M)))
     return rows, ses

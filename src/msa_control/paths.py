@@ -142,6 +142,17 @@ class StateEnsemble:
     ensemble_seed: int
 
 
+def _euler_step(
+    spec: ProblemSpec, grid: TimeGrid, i: int, x: Array, u_pts: Array, dw: Array
+) -> Array:
+    """One Euler-Maruyama step from x at step i with increments dw."""
+    c = spec.coefficients
+    t = i * grid.dt
+    drift = np.asarray(c.b(t, x, u_pts))
+    diff = np.asarray(c.sigma(t, x, u_pts))
+    return x + drift * grid.dt + np.einsum("bnd,bd->bn", diff, dw)
+
+
 def simulate_state(
     spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble, u: ControlProcess
 ) -> StateEnsemble:
@@ -151,22 +162,15 @@ def simulate_state(
         raise ProvenanceError(
             f"control shape {u.values.shape} does not match ensemble ({M}, {steps})"
         )
-    c = spec.coefficients
     pts = spec.domain.points
-    dt = grid.dt
     X = np.empty((steps + 1, M, spec.n))
     X[0] = spec.x0
     for i in range(steps):
-        t = i * dt
-        xi = X[i]
-        ui = pts[u.values[:, i]]
-        drift = np.asarray(c.b(t, xi, ui))
-        diff = np.asarray(c.sigma(t, xi, ui))
-        X[i + 1] = xi + drift * dt + np.einsum("bnd,bd->bn", diff, W.increments[:, i])
+        X[i + 1] = _euler_step(spec, grid, i, X[i], pts[u.values[:, i]], W.increments[:, i])
     states = X.transpose(1, 0, 2)
-    bad = ~np.isfinite(states)
-    if bad.any():
-        p, i, _ = np.argwhere(bad)[0]
+    # min and max propagate NaN and show +-inf without a full-size mask
+    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+        p, i, _ = np.argwhere(~np.isfinite(states))[0]
         raise SimulationError(f"non-finite state at path {p}, step {i}")
     return StateEnsemble(states=states, control_values=u.values, ensemble_seed=W.seed)
 

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from msa_control.cli import EXIT_CONFIG, EXIT_OK, main
+from msa_control.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
 INLINE_LQ = {
@@ -82,8 +83,11 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"M": 3}, {"u0": "bogus"}, {"u0": 99}, {"u0": -1}],
-        ids=["M-not-above-features", "u0-unknown", "u0-index-99", "u0-index-minus-1"],
+        [{"M": 3}, {"u0": "bogus"}, {"u0": 99}, {"u0": -1}, {"ridge": 0}],
+        ids=[
+            "M-not-above-features", "u0-unknown", "u0-index-99", "u0-index-minus-1",
+            "ridge-zero-with-degree",
+        ],
     )
     def test_invalid_run_input(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -93,6 +97,30 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_rank_error_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        import msa_control.cli as cli
+
+        def rank_deficient(*args, **kwargs):
+            raise cli.RegressionRankError("design matrix rank 1 < 3 features; set ridge > 0")
+
+        monkeypatch.setattr(cli, "run_msa", rank_deficient)
+        cfg = write_config(tmp_path)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: design matrix rank 1 < 3 features; set ridge > 0\n"
+        )
+
+    def test_diverging_initializer_exits_numerical(self, tmp_path, capsys):
+        # b1 = 1e300 sends every constant control to inf at step 2
+        cfg = write_config(tmp_path, problem={**INLINE_LQ, "b1": [[1e300]]}, u0="worst-constant")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite state under constant control 0 at path 0, step 2\n"
+        )
 
     def test_inline_lq_x0_length_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, problem={**INLINE_LQ, "x0": [1.0, 2.0]})
@@ -144,6 +172,23 @@ class TestValidate:
         text = (out / "sequence.csv").read_text()
         assert text.splitlines()[0] == "a1,A,max_b,bound,ok"
         assert len(text.strip().splitlines()) == 1 + 4 * 3
+
+    @pytest.mark.parametrize(
+        "experiment, overrides, cause",
+        [
+            ("remainder", {"u0_index": 5}, "error: u0_index 5 outside 0..1"),
+            ("remainder", {"G": 5}, "error: G=5 must be at least 6"),
+            ("variational", {"G": 5}, "error: G=5 must be at least 6"),
+        ],
+        ids=["remainder-u0-index", "remainder-coarse-grid", "variational-coarse-grid"],
+    )
+    def test_bad_config_exits_config(self, tmp_path, capsys, experiment, overrides, cause):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 200, **overrides}))
+        rc = main(["validate", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(cause) and err.count("\n") == 1
 
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

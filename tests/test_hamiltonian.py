@@ -84,7 +84,50 @@ class TestHFunction:
         assert out[0] == pytest.approx(9.0)
 
 
+    def test_candidate_block_equals_per_candidate_calls(self):
+        # n = d = k = 2: a (V, B, k) block gives bit for bit the V separate
+        # (B, k) calls, with p, q, P and sigma(u) broadcast, not tiled
+        spec = lq_embed(coupled_lq2d())
+        rng = np.random.default_rng(1)
+        V, B = 5, 32
+        x = rng.normal(size=(B, 2))
+        p = rng.normal(size=(B, 2))
+        q = rng.normal(size=(B, 2, 2))
+        P = rng.normal(size=(B, 2, 2))
+        v_block = rng.normal(size=(V, B, 2))
+        u = rng.normal(size=(B, 2))
+        block = h_function(spec, 0.3, x, p, q, P, v_block, u)
+        ref = np.stack([h_function(spec, 0.3, x, p, q, P, v, u) for v in v_block])
+        assert block.shape == (V, B)
+        assert np.array_equal(block, ref)
+
+
 class TestMinimizeH:
+    def test_sigma_evaluated_once_per_row_set(self):
+        # sigma(v) once on the V*B candidate rows, sigma(u) once on the B
+        # path rows; b and f once on the candidate rows
+        rows = {"b": [], "sigma": [], "f": []}
+
+        def counted(name, fn):
+            def wrapped(t, x, u):
+                rows[name].append(x.shape[0])
+                return fn(t, x, u)
+            return wrapped
+
+        spec = scalar_spec(
+            b=counted("b", lambda t, x, u: x * u),
+            sigma=counted("sigma", lambda t, x, u: u),
+            f=counted("f", lambda t, x, u: u**2),
+            domain=(-1.0, -0.5, 0.0, 0.5, 1.0),
+        )
+        B = 7
+        x = np.linspace(-1.0, 1.0, B)[:, None]
+        p = np.ones((B, 1))
+        q = np.ones((B, 1, 1))
+        P = np.ones((B, 1, 1))
+        minimize_h(spec, 0.0, x, p, q, P, np.arange(B) % 5)
+        assert rows == {"b": [5 * B], "sigma": [5 * B, B], "f": [5 * B]}
+
     def test_quadratic_centered_at_base(self):
         # h(v) = (v - u)^2 - u^2 for sigma(u)=u, P=2: base is its own minimizer
         spec = scalar_spec(sigma=lambda t, x, u: u)

@@ -14,11 +14,13 @@ from msa_control import (
     find_descent_interval,
     generate_brownian,
     get_lq,
+    get_problem,
     lq_closed_form_adjoint,
     lq_embed,
     msa_step,
     mu,
     prepare_state,
+    problem_names,
     records_from_csv,
     records_to_csv,
     run_msa,
@@ -28,7 +30,7 @@ from msa_control import (
     spike_control,
 )
 
-from msa_control.msa import IterationRecord, SolverState
+from msa_control.msa import IterationRecord, SolverState, _initial_control
 
 from conftest import coupled_lq2d, scalar_spec
 
@@ -179,7 +181,69 @@ class TestMsaStep:
         assert J_cand == evaluate_cost(spec, grid, X_cand, cand)
 
 
+def per_control_costs(spec, grid, W):
+    """Reference for the worst-constant start: one simulation per control."""
+    V = spec.domain.size
+    costs = []
+    for idx in range(V):
+        u = ControlProcess.constant(idx, W.M, W.steps, V)
+        costs.append(evaluate_cost(spec, grid, simulate_state(spec, grid, W, u), u))
+    return costs
+
+
+class TestWorstConstant:
+    @pytest.mark.parametrize(
+        "spec",
+        [get_problem(name) for name in problem_names()] + [lq_embed(coupled_lq2d())],
+        ids=problem_names() + ["coupled-lq2d"],
+    )
+    def test_batched_pass_matches_per_control_loop(self, spec):
+        grid = TimeGrid(T=spec.T, depth=5)
+        W = generate_brownian(grid, 300, spec.d, 3)
+        u = _initial_control(spec, grid, W, "worst-constant")
+        assert u.values[0, 0] == int(np.argmax(per_control_costs(spec, grid, W)))
+        assert np.all(u.values == u.values[0, 0])
+
+    def test_exact_tie_goes_to_smallest_index(self):
+        # sigma = u, x0 = 0: the paths under u = -1 and u = 1 are exact
+        # negatives, so Phi = x^2 and f = u^2 give bitwise equal costs, both
+        # above the cost of u = 0
+        spec = scalar_spec(
+            sigma=lambda t, x, u: u, f=lambda t, x, u: u**2, Phi=lambda x: x**2,
+            domain=(0.0, -1.0, 1.0),
+        )
+        grid = TimeGrid(T=1.0, depth=4)
+        W = generate_brownian(grid, 200, 1, 0)
+        costs = per_control_costs(spec, grid, W)
+        assert costs[1] == costs[2] > costs[0]
+        assert _initial_control(spec, grid, W, "worst-constant").values[0, 0] == 1
+
+    def test_diverging_control_named(self):
+        # u = 1 multiplies the state by about 1e299 per step: inf at step 2
+        spec = scalar_spec(b=lambda t, x, u: 1e300 * u * x, x0=1.0, domain=(0.0, 1.0))
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, 50, 1, 0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SimulationError, match=r"^non-finite state under constant control 1 at path 0, step 2$"
+        ):
+            _initial_control(spec, grid, W, "worst-constant")
+
+
 class TestRunMsa:
+    @pytest.mark.parametrize(
+        "name, J_hex, mu_hex",
+        [
+            ("lq-scalar", "0x1.0c37189f84080p-1", "-0x1.34e9f71dcf800p-10"),
+            ("nonconvex-diffusion", "0x1.9b2c4791d973ap-1", "-0x1.db778b7ebed3ap-22"),
+        ],
+    )
+    def test_registry_results_pinned(self, name, J_hex, mu_hex):
+        # recorded before the batched initializer and the broadcast
+        # H-minimization; both must leave every bit in place
+        config = MSAConfig(M=300, depth=5, N_max=5, seed=3)
+        run = run_msa(get_problem(name), config, "worst-constant")
+        assert (run.J_final.hex(), run.mu_final.hex()) == (J_hex, mu_hex)
+
     def test_zero_budget(self):
         spec = lq_embed(get_lq("lq-scalar"))
         run = run_msa(spec, MSAConfig(M=200, depth=3, N_max=3, m_max=0))

@@ -121,6 +121,16 @@ class TestRateExperiment:
         )
 
 
+    def test_csv_fields_parse_as_float(self):
+        result = rate_experiment(get_lq("lq-scalar"), MSAConfig(M=300, depth=4, N_max=4))
+        lines = result.csv().splitlines()
+        assert lines[0] == "m,a_m,a_m_sqrt_m" and len(lines) == 1 + len(result.rows)
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 3
+            [float(v) for v in fields]
+
+
 class TestRemainderExperiment:
     def test_lq_expansion_is_exact(self):
         # quadratic value function: the second-order expansion has no remainder
@@ -153,6 +163,21 @@ class TestRemainderExperiment:
             "0x1.d3217aa14c1cap-19",
         ]
         assert np.isnan(res.slope)  # every row is censored at this size
+
+    @pytest.mark.parametrize("lo, hi, nx", [(-3.7, 2.9, 2001), (0.1, 0.4, 7), (-1.0, 1.0, 2)])
+    def test_lattice_interp_matches_np_interp(self, lo, hi, nx):
+        from msa_control.oracle import _lattice_interp
+
+        xs = np.linspace(lo, hi, nx)
+        fp = np.random.default_rng(0).normal(size=nx)
+        x = np.concatenate([
+            xs,
+            np.nextafter(xs, np.inf),
+            np.nextafter(xs, -np.inf),
+            [lo - 1.0, hi + 1.0, -1e300, 1e300],
+            np.random.default_rng(1).uniform(lo - 0.5, hi + 0.5, 5000),
+        ])
+        assert np.array_equal(_lattice_interp(x, xs, fp), np.interp(x, xs, fp))
 
     def test_misaligned_interval_rejected(self):
         from msa_control.oracle import _interval_steps

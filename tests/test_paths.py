@@ -116,6 +116,28 @@ class TestSimulateState:
         ):
             simulate_state(spec, grid, W, u)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+    def test_nonfinite_names_first_path_and_its_first_step(self, value):
+        # X = W until the drift turns non-finite above x = 0.5; the error
+        # names the first path that crosses and the step after its crossing
+        thr = 0.5
+        grid = TimeGrid(T=1.0, depth=4)
+        W = generate_brownian(grid, 50, 1, 0)
+        u = ControlProcess.constant(0, 50, grid.steps, 3)
+
+        def unit(t, x, u):
+            return np.ones_like(x)
+
+        free = simulate_state(scalar_spec(sigma=unit), grid, W, u).states[:, :-1, 0]
+        hit = free > thr
+        path = int(np.argmax(hit.any(axis=1)))
+        step = int(np.argmax(hit[path])) + 1
+        spec = scalar_spec(sigma=unit, b=lambda t, x, u: np.where(x > thr, value, 0.0))
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SimulationError, match=rf"^non-finite state at path {path}, step {step}$"
+        ):
+            simulate_state(spec, grid, W, u)
+
     def test_step_slices_contiguous(self, zero_spec):
         # time-major storage behind the path-major shapes
         grid = TimeGrid(T=1.0, depth=3)
