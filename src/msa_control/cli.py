@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 from . import registry
 from .adjoint import RegressionRankError
 from .model import ControlDomain, LQSpec, ProblemSpec, lq_embed
-from .msa import MSAConfig, check_run_inputs, records_to_csv, records_to_json, run_msa
+from .msa import MSAConfig, records_to_csv, records_to_json, run_msa
 from .oracle import (
     rate_experiment,
     remainder_experiment,
@@ -48,17 +49,40 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path) -> object:
+    """Parse a config file ({} for none); a non-finite number is an error."""
+    if path is None:
+        return {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    def finite(literal, parse=float):
+        if not math.isfinite(float(literal)):
+            raise ConfigError(f"non-finite number {literal} in {path}")
+        return parse(literal)
+
     try:
-        return json.loads(text)
+        return json.loads(
+            text, parse_constant=finite, parse_float=finite, parse_int=lambda s: finite(s, int)
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _number(key: str, value):
+    """A float for mu_tol and ridge; for every other key an integer, which
+    may be written as an integral float (200.0) but not as a bool or string."""
+    kind = float if key in ("mu_tol", "ridge") else int
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or kind is int and value % 1:
+        what = "a number" if kind is float else "an integer"
+        if key == "u0":
+            what = "first-point, worst-constant or " + what
+        raise ConfigError(f"{key} must be {what}, not {value!r}")
+    return kind(value)
 
 
 def _problem_from_config(obj) -> ProblemSpec:
@@ -67,21 +91,10 @@ def _problem_from_config(obj) -> ProblemSpec:
             return registry.get_problem(obj)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-    if not isinstance(obj, dict):
-        raise ConfigError("'problem' must be a registry name or an object")
-    if obj.get("type") != "lq":
-        raise ConfigError("inline problems must have \"type\": \"lq\"")
+    if not isinstance(obj, dict) or obj.get("type") != "lq":
+        raise ConfigError("'problem' must be a registry name or an object with \"type\": \"lq\"")
     try:
-        return lq_embed(_lq_from_config(obj))
-    except ValueError as exc:  # ShapeError (x0 vs n) or an asymmetric G/Gamma
-        raise ConfigError(f"bad inline LQ problem: {exc}") from exc
-
-
-def _lq_from_config(obj: dict) -> LQSpec:
-    try:
-        n = int(obj["n"])
-        d = int(obj["d"])
-        k = int(obj["k"])
+        n, d, k = (_number(key, obj[key]) for key in "ndk")
         T = float(obj["T"])
         x0 = np.asarray(obj["x0"], dtype=float)
         b1 = np.asarray(obj["b1"], dtype=float).reshape(n, n)
@@ -95,36 +108,92 @@ def _lq_from_config(obj: dict) -> LQSpec:
         g_lin = np.asarray(obj.get("g_lin", np.zeros(k)), dtype=float).reshape(k)
         g_quad = np.asarray(obj.get("g_quad", np.zeros((k, k))), dtype=float).reshape(k, k)
         domain = ControlDomain(np.asarray(obj["domain"], dtype=float))
-    except (KeyError, ValueError, TypeError) as exc:
+
+        def sig(t, u):
+            return sigma0[None, :, :] + np.einsum("bk,knd->bnd", u, sigma_u)
+
+        def g(t, u):
+            return u @ g_lin + 0.5 * np.einsum("bi,ij,bj->b", u, g_quad, u)
+
+        return lq_embed(LQSpec(
+            n=n, d=d, k=k, T=T, x0=x0,
+            b1=lambda t: b1, b2=lambda t: b2, G=lambda t: G, Gamma=Gamma,
+            sigma_u=sig, g=g, domain=domain,
+        ))
+    except (KeyError, ValueError, TypeError) as exc:  # ShapeError: x0 vs n, asymmetric G
         raise ConfigError(f"bad inline LQ problem: {exc}") from exc
 
-    def sig(t, u):
-        return sigma0[None, :, :] + np.einsum("bk,knd->bnd", u, sigma_u)
 
-    def g(t, u):
-        return u @ g_lin + 0.5 * np.einsum("bi,ij,bj->b", u, g_quad, u)
+# The keys each subcommand reads, with the defaults that are not MSAConfig's
+# own (None: MSAConfig's default; N_max defaults to G, u0_index to the last
+# control point).  The config key G is MSAConfig's depth.
+_SOLVER_KEYS = dict.fromkeys(("M", "G", "m_max", "mu_tol", "N_max", "seed", "degree", "ridge"))
+_EXPERIMENT_KEYS = dict.fromkeys(("u0_index", "seed", "degree", "ridge"))
+_KEYS = {
+    "solve": {**_SOLVER_KEYS, "problem": "lq-scalar", "u0": "first-point"},
+    "bench": _SOLVER_KEYS,
+    "remainder": {**_EXPERIMENT_KEYS, "problem": "nonconvex-diffusion", "M": 100_000, "G": 9},
+    "variational": {**_EXPERIMENT_KEYS, "problem": "nonconvex-diffusion", "M": 20_000, "G": 7},
+    "sequence": {"m_max": 100_000},
+}
+_MAX_PATH_BYTES = 16 << 30
+_EPS_LEVELS = range(2, 7)  # validate remainder|variational: eps = T 2^-N around T/2
 
-    return LQSpec(
-        n=n, d=d, k=k, T=T, x0=x0,
-        b1=lambda t: b1, b2=lambda t: b2, G=lambda t: G, Gamma=Gamma,
-        sigma_u=sig, g=g, domain=domain,
-    )
 
-
-def _msa_config(cfg: dict, seed_override=None) -> MSAConfig:
+def _resolve(cfg, command: str, seed):
+    """Map a parsed config to (spec, MSAConfig, u0) for one subcommand, or raise
+    ConfigError with a one-line cause before anything runs.  spec and u0 are
+    None for bench (every registry LQ problem is checked) and sequence."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, not a {type(cfg).__name__}")
+    keys = _KEYS[command]
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} for {command}; it reads {', '.join(keys)}")
+    fields = {
+        "depth" if key == "G" else key: _number(key, cfg.get(key, default))
+        for key, default in keys.items()
+        if key in _SOLVER_KEYS and (key in cfg or default is not None)
+    }
+    if seed is not None:
+        fields["seed"] = seed
+    fields.setdefault("N_max", fields.get("depth", MSAConfig.depth))
     try:
-        return MSAConfig(
-            mu_tol=float(cfg.get("mu_tol", 1e-6)),
-            m_max=int(cfg.get("m_max", 50)),
-            N_max=int(cfg.get("N_max", cfg.get("G", 8))),
-            M=int(cfg.get("M", 10_000)),
-            depth=int(cfg.get("G", 8)),
-            seed=int(seed_override if seed_override is not None else cfg.get("seed", 7)),
-            degree=int(cfg.get("degree", 2)),
-            ridge=float(cfg.get("ridge", 1e-8)),
-        )
-    except (ValueError, TypeError) as exc:
+        config = MSAConfig(**fields)
+    except ValueError as exc:
         raise ConfigError(f"bad run configuration: {exc}") from exc
+    if command == "sequence" and config.m_max < 1:
+        raise ConfigError(f"m_max={config.m_max} must be at least 1")
+    if command == "sequence":
+        return None, config, None
+
+    bench = command == "bench"
+    spec = None if bench else _problem_from_config(cfg.get("problem", keys["problem"]))
+    for s in map(registry.get_lq, registry.lq_names()) if bench else [spec]:
+        features = config.basis.feature_count(s.n)
+        if config.M <= features:
+            raise ConfigError(f"M={config.M} must exceed the {features} regression features")
+        bits = math.log2(config.M * (s.n + s.d) * 8) + config.depth
+        if bits > math.log2(_MAX_PATH_BYTES):
+            raise ConfigError(f"M={config.M}, G={config.depth}: paths need about 2^{bits:.1f} "
+                              f"bytes (M*2^G*(n+d)*8), over the {_MAX_PATH_BYTES >> 30} GiB limit")
+    if config.ridge == 0 and config.degree >= 1:
+        # every path starts at x0, so the step-0 design matrix has rank 1
+        raise ConfigError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")
+    if bench:
+        return None, config, None
+    if command != "solve" and config.depth < _EPS_LEVELS[-1]:
+        # tau +- T 2^-N lies on the grid only when the grid has 2^N steps
+        raise ConfigError(f"G={config.depth} must be at least {_EPS_LEVELS[-1]} "
+                          f"for eps down to T*2^-{_EPS_LEVELS[-1]}")
+    key = "u0" if command == "solve" else "u0_index"
+    u0 = cfg.get(key, keys[key] or spec.domain.size - 1)
+    if command == "solve" and u0 in ("first-point", "worst-constant"):
+        return spec, config, u0
+    u0 = _number(key, u0)
+    if not 0 <= u0 < spec.domain.size:
+        raise ConfigError(f"{key} {u0} outside 0..{spec.domain.size - 1}")
+    return spec, config, u0
 
 
 def _write(out: Path, name: str, text: str) -> None:
@@ -132,14 +201,7 @@ def _write(out: Path, name: str, text: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_json(args.config)
-    spec = _problem_from_config(cfg.get("problem", "lq-scalar"))
-    config = _msa_config(cfg, args.seed)
-    u0 = cfg.get("u0", "first-point")
-    try:
-        check_run_inputs(spec, config, u0)
-    except ValueError as exc:
-        raise ConfigError(f"bad run configuration: {exc}") from exc
+    spec, config, u0 = _resolve(_load_json(args.config), "solve", args.seed)
     t0 = time.time()
     run = run_msa(spec, config, u0)
     out = Path(args.out)
@@ -162,8 +224,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
-    config = _msa_config(cfg, args.seed)
+    _, config, _ = _resolve(_load_json(args.config), "bench", args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
@@ -185,7 +246,7 @@ _SEQ_GRID_A = (0.1, 1.0, 10.0)
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+    spec, config, u0 = _resolve(_load_json(args.config), args.experiment, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.experiment == "sequence":
@@ -193,42 +254,17 @@ def cmd_validate(args) -> int:
         all_ok = True
         for a1 in _SEQ_GRID_A1:
             for A in _SEQ_GRID_A:
-                res = sequence_lemma_check(a1, A, int(cfg.get("m_max", 100_000)))
+                res = sequence_lemma_check(a1, A, config.m_max)
                 all_ok &= res.ok
                 lines.append(f"{a1!r},{A!r},{res.max_b!r},{res.bound!r},{int(res.ok)}")
         _write(out, "sequence.csv", "\n".join(lines) + "\n")
         return EXIT_OK if all_ok else EXIT_NUMERICAL
 
-    spec = _problem_from_config(cfg.get("problem", "nonconvex-diffusion"))
-    if args.experiment == "remainder":
-        cfg.setdefault("M", 100_000)
-        cfg.setdefault("G", 9)
-    else:
-        cfg.setdefault("M", 20_000)
-        cfg.setdefault("G", 7)
-    config = _msa_config(cfg, args.seed)
-    tau = spec.T / 2.0
-    levels = range(2, 7)
-    eps_list = [spec.T * 2.0 ** (-N) for N in levels]
-    if config.depth < levels[-1]:
-        # tau +- T 2^-N lies on the grid only when the grid has 2^N steps
-        raise ConfigError(
-            f"G={config.depth} must be at least {levels[-1]} for eps down to T*2^-{levels[-1]}"
-        )
-    try:
-        u0 = int(cfg.get("u0_index", spec.domain.size - 1))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad u0_index: {exc}") from exc
-    if not 0 <= u0 < spec.domain.size:
-        raise ConfigError(f"u0_index {u0} outside 0..{spec.domain.size - 1}")
-    if args.experiment == "remainder":
-        res = remainder_experiment(spec, u0, tau, eps_list, config)
-        _write(out, "remainder.csv", res.csv())
-        _write(out, "remainder_summary.json", json.dumps({"slope": res.slope}, indent=2))
-    else:
-        res = variational_experiment(spec, u0, tau, eps_list, config)
-        _write(out, "variational.csv", res.csv())
-        _write(out, "variational_summary.json", json.dumps({"slope": res.slope}, indent=2))
+    eps_list = [spec.T * 2.0 ** (-N) for N in _EPS_LEVELS]
+    experiment = remainder_experiment if args.experiment == "remainder" else variational_experiment
+    res = experiment(spec, u0, spec.T / 2.0, eps_list, config)
+    _write(out, f"{args.experiment}.csv", res.csv())
+    _write(out, f"{args.experiment}_summary.json", json.dumps({"slope": res.slope}, indent=2))
     return EXIT_OK
 
 

@@ -69,10 +69,10 @@ def dyadic_interval(T: float, N: int, j: int, grid: TimeGrid) -> DyadicInterval:
 
 
 def spike_control(
-    u: ControlProcess, gaps: GapProcess, interval: DyadicInterval
+    u: ControlProcess, gaps: GapProcess, interval: Union[DyadicInterval, Tuple[int, int]]
 ) -> ControlProcess:
-    """Replace u by the pathwise H-minimizer on the interval, keep it elsewhere."""
-    lo, hi = interval.step_range
+    """Replace u by the pathwise H-minimizer on the interval or [lo, hi) steps."""
+    lo, hi = interval.step_range if isinstance(interval, DyadicInterval) else interval
     steps = u.values.shape[1]
     if not (0 <= lo < hi <= steps):
         raise ValueError(f"interval steps [{lo}, {hi}) misaligned with grid of {steps} steps")
@@ -123,16 +123,13 @@ class MSAConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.N_max > self.depth:
-            raise ValueError("N_max must not exceed the grid depth")
-        if self.m_max < 0 or self.M < 1:
+        # written as "not ok" so that a NaN fails them
+        if not 1 <= self.N_max <= self.depth:
+            raise ValueError("N_max must be between 1 and the grid depth")
+        if not (self.m_max >= 0 and self.M >= 1):
             raise ValueError("m_max must be >= 0 and M >= 1")
-        if self.mu_tol < 0:
-            raise ValueError("mu_tol must be nonnegative")
-        if self.N_max < 1:
-            raise ValueError("N_max must be >= 1")
-        if self.degree < 0 or self.ridge < 0:
-            raise ValueError("degree and ridge must be nonnegative")
+        if not (self.mu_tol >= 0 and self.degree >= 0 and self.ridge >= 0):
+            raise ValueError("mu_tol, degree and ridge must be nonnegative")
 
     @property
     def basis(self) -> RegressionBasis:
@@ -277,27 +274,6 @@ def _worst_constant(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble) -> i
     return int(np.argmax(cost.reshape(V, M).sum(axis=1) / M))
 
 
-def check_run_inputs(
-    spec: ProblemSpec, config: MSAConfig, u0: Union[ControlProcess, str, int, None]
-) -> None:
-    """Raise ValueError for a problem, config and initializer that cannot
-    run together, before any path is simulated."""
-    features = config.basis.feature_count(spec.n)
-    if config.M <= features:
-        raise ValueError(f"M={config.M} must exceed the {features} regression features")
-    if config.ridge == 0 and config.degree >= 1:
-        # every path starts at x0, so the step-0 design matrix has rank 1
-        raise ValueError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")
-    if isinstance(u0, bool) or not (
-        u0 is None
-        or isinstance(u0, (ControlProcess, int))
-        or u0 in ("first-point", "worst-constant")
-    ):
-        raise ValueError(f"unknown initializer {u0!r}")
-    if isinstance(u0, int) and not 0 <= u0 < spec.domain.size:
-        raise ValueError(f"initial control index {u0} outside 0..{spec.domain.size - 1}")
-
-
 def run_msa(
     spec: ProblemSpec,
     config: MSAConfig,
@@ -358,7 +334,8 @@ def records_to_csv(records) -> str:
 
 def records_from_csv(text: str):
     rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == CSV_HEADER
+    if rows[:1] != [CSV_HEADER]:
+        raise ValueError(f"iterations CSV header {next(iter(rows), [])} is not {CSV_HEADER}")
     return [
         IterationRecord(
             m=int(m), J=float(J), mu=float(mu_), N=int(N), j=int(j),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .hamiltonian import GapProcess
 from .model import LQSpec, ProblemSpec, lq_embed
-from .msa import DyadicInterval, MSAConfig, MSARun, prepare_state, run_msa
+from .msa import DyadicInterval, MSAConfig, MSARun, prepare_state, run_msa, spike_control
 from .paths import (
     BrownianEnsemble,
     ControlProcess,
@@ -116,6 +116,13 @@ def build_oracle(lq: LQSpec, grid: TimeGrid) -> LQOracle:
 # Convergence-rate experiment
 
 
+def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of log ys against log xs; NaN below two points."""
+    if len(xs) < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
 @dataclass
 class RateResult:
     rows: List[Tuple[int, float, float]]  # (m, a_m, a_m * sqrt(m)), 1-based
@@ -161,15 +168,9 @@ def rate_experiment(
         m1 = rec.m + 1  # 1-based: row 1 is the initial control
         a = rec.J - J_star_saa
         rows.append((m1, a, float(a * np.sqrt(m1))))
-    if len(rows) >= 2:
-        ms = np.array([r[0] for r in rows], dtype=float)
-        avals = np.array([max(r[1], floor) for r in rows])
-        slope = float(np.polyfit(np.log(ms), np.log(avals), 1)[0])
-    else:
-        slope = float("nan")
     return RateResult(
         rows=rows,
-        slope=slope,
+        slope=_loglog_slope([float(r[0]) for r in rows], [max(r[1], floor) for r in rows]),
         J_star_analytic=oracle.J_star,
         J_star_saa=J_star_saa,
         run=run,
@@ -316,9 +317,7 @@ def _direct_remainder(spec, u, tau, eps_list, config):
     rows, ses = [], []
     for eps in eps_list:
         lo, hi = _interval_steps(tau, eps, grid)
-        vals = u.values.copy()
-        vals[:, lo:hi] = state.gaps.argmin_indices[:, lo:hi]
-        cand = ControlProcess(vals, u.num_points)
+        cand = spike_control(u, state.gaps, (lo, hi))
         X_cand = simulate_state(spec, grid, W, cand)
         diff = pathwise_cost(spec, grid, X_cand, cand) - pc_base
         gap_path = state.gaps.values[:, lo:hi].sum(axis=1) * grid.dt
@@ -422,12 +421,7 @@ def remainder_experiment(
     rows = [(e, R, abs(R) < 10.0 * se) for (e, R), se in zip(raw, ses)]
 
     fit = [(e, abs(R)) for e, R, cen in rows if not cen and abs(R) > 0]
-    if len(fit) >= 2:
-        xs = np.log([e for e, _ in fit])
-        ys = np.log([r for _, r in fit])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = float("nan")
+    slope = _loglog_slope([e for e, _ in fit], [r for _, r in fit])
     return RemainderResult(rows=rows, slope=slope, standard_errors=ses)
 
 
@@ -466,9 +460,7 @@ def variational_simulate(
     dt = grid.dt
     pts = spec.domain.points
 
-    vals = u_vals.copy()
-    vals[:, lo:hi] = gaps.argmin_indices[:, lo:hi]
-    cand = ControlProcess(vals, spec.domain.size)
+    cand = spike_control(ControlProcess(u_vals, spec.domain.size), gaps, (lo, hi))
     X_sp = simulate_state(spec, grid, W, cand)
 
     X1 = np.zeros((steps + 1, M, n))
@@ -544,8 +536,8 @@ def variational_experiment(
     """Defect order check: fit log e(eps) against log eps over dyadic eps."""
     grid = TimeGrid(T=spec.T, depth=config.depth)
     W = generate_brownian(grid, config.M, spec.d, config.seed)
-    if isinstance(u, int):
-        u = ControlProcess.constant(u, config.M, grid.steps, spec.domain.size)
+    if isinstance(u, (int, np.integer)):
+        u = ControlProcess.constant(int(u), config.M, grid.steps, spec.domain.size)
     X = simulate_state(spec, grid, W, u)
     state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), config.basis)
     rows = []
@@ -554,12 +546,7 @@ def variational_experiment(
         _, e = variational_simulate(spec, grid, W, X, state.gaps, (lo, hi))
         rows.append((float(eps), e))
     positive = [(e, v) for e, v in rows if v > 0]
-    if len(positive) >= 2:
-        xs = np.log([e for e, _ in positive])
-        ys = np.log([v for _, v in positive])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = float("nan")
+    slope = _loglog_slope([e for e, _ in positive], [v for _, v in positive])
     return VariationalResult(rows=rows, slope=slope)
 
 

@@ -83,14 +83,25 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"M": 3}, {"u0": "bogus"}, {"u0": 99}, {"u0": -1}, {"ridge": 0}],
+        [
+            {"M": 3}, {"u0": "bogus"}, {"u0": 99}, {"u0": -1}, {"ridge": 0},
+            # a str is the whole config file, for what json.dumps cannot write
+            '[{"M": 200}]', {"G": 40}, {"G": 1_000_000_000}, {"mu_tol": float("nan")},
+            '{"M": 200, "G": 4, "ridge": 1e400}', {"M": 200.9}, {"M": "200"},
+            {"m_max": True}, {"Mmax": 3},
+        ],
         ids=[
             "M-not-above-features", "u0-unknown", "u0-index-99", "u0-index-minus-1",
-            "ridge-zero-with-degree",
+            "ridge-zero-with-degree", "top-level-list", "G-40", "G-1e9", "mu_tol-nan",
+            "ridge-overflow", "M-non-integral", "M-string", "m_max-bool", "unknown-key",
         ],
     )
     def test_invalid_run_input(self, tmp_path, capsys, overrides):
-        cfg = write_config(tmp_path, **overrides)
+        if isinstance(overrides, str):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(overrides)
+        else:
+            cfg = write_config(tmp_path, **overrides)
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -174,26 +185,56 @@ class TestValidate:
         assert len(text.strip().splitlines()) == 1 + 4 * 3
 
     @pytest.mark.parametrize(
-        "experiment, overrides, cause",
+        "experiment, cfg, cause",
         [
-            ("remainder", {"u0_index": 5}, "error: u0_index 5 outside 0..1"),
-            ("remainder", {"G": 5}, "error: G=5 must be at least 6"),
-            ("variational", {"G": 5}, "error: G=5 must be at least 6"),
+            ("remainder", {"M": 200, "u0_index": 5}, "error: u0_index 5 outside 0..1"),
+            ("remainder", {"M": 200, "G": 5}, "error: G=5 must be at least 6"),
+            ("variational", {"M": 200, "G": 5}, "error: G=5 must be at least 6"),
+            ("variational", {"M": 3, "G": 6}, "error: M=3 must exceed the 3 regression"),
+            ("remainder", {"M": 200, "u0_index": True}, "error: u0_index must be an integer"),
+            ("sequence", {"m_max": 0}, "error: m_max=0 must be at least 1"),
+            ("sequence", {"m_max": "abc"}, "error: m_max must be an integer"),
         ],
-        ids=["remainder-u0-index", "remainder-coarse-grid", "variational-coarse-grid"],
+        ids=[
+            "remainder-u0-index", "remainder-coarse-grid", "variational-coarse-grid",
+            "variational-M-not-above-features", "remainder-u0-index-bool", "sequence-m_max-0",
+            "sequence-m_max-string",
+        ],
     )
-    def test_bad_config_exits_config(self, tmp_path, capsys, experiment, overrides, cause):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"M": 200, **overrides}))
-        rc = main(["validate", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    def test_bad_config_exits_config(self, tmp_path, capsys, experiment, cfg, cause):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["validate", experiment, "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(cause) and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "frobnicate", "--out", "/tmp/x"])
         assert exc.value.code == 2
+
+
+class TestBench:
+    @pytest.mark.parametrize(
+        "cfg, cause",
+        [
+            ({"M": 3, "G": 4}, "error: M=3 must exceed the 3 regression features"),
+            ({"problem": "lq-scalar"}, "error: unknown key 'problem' for bench"),
+        ],
+        ids=["M-not-above-features", "unknown-key"],
+    )
+    def test_bad_config_exits_config(self, tmp_path, capsys, cfg, cause):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["bench", "lq", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(cause) and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestParser:

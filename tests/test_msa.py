@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,13 @@ class TestSerialization:
     def test_csv_round_trip(self):
         rows = self.rows()
         assert records_from_csv(records_to_csv(rows)) == rows
+
+    @pytest.mark.parametrize(
+        "text, found", [("m,J,mu\n0,1.0,-0.5\n", "['m', 'J', 'mu']"), ("", "[]")]
+    )
+    def test_csv_bad_header_rejected(self, text, found):
+        with pytest.raises(ValueError, match=re.escape(f"header {found} is not")):
+            records_from_csv(text)
 
     def test_header(self):
         text = records_to_csv(self.rows())

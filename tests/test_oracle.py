@@ -257,11 +257,16 @@ class TestVariationalExperiment:
         spec = get_problem("nonconvex-diffusion")
         eps_list = [spec.T * 2.0 ** (-N) for N in range(2, 5)]
         config = MSAConfig(M=200, depth=5, N_max=5, seed=1)
-        res = oracle.variational_experiment(spec, spec.domain.size - 1, 0.5, eps_list, config)
-        assert len(res.rows) == len(eps_list)
-        # one base simulation, then one spiked candidate per eps
-        assert len(calls) == 1 + len(eps_list)
-        assert np.all(calls[0].values == spec.domain.size - 1)
+        last = spec.domain.size - 1
+        results = []
+        for u in (last, np.int64(last)):  # a numpy integer base control too
+            calls.clear()
+            results.append(oracle.variational_experiment(spec, u, 0.5, eps_list, config))
+            assert len(results[-1].rows) == len(eps_list)
+            # one base simulation, then one spiked candidate per eps
+            assert len(calls) == 1 + len(eps_list)
+            assert np.all(calls[0].values == last)
+        assert results[0].rows == results[1].rows
 
 
 class TestSequenceLemma:
