@@ -170,7 +170,7 @@ def rate_experiment(
         rows.append((m1, a, float(a * np.sqrt(m1))))
     return RateResult(
         rows=rows,
-        slope=_loglog_slope([float(r[0]) for r in rows], [max(r[1], floor) for r in rows]),
+        slope=_loglog_slope([r[0] for r in rows], [max(r[1], floor) for r in rows]),
         J_star_analytic=oracle.J_star,
         J_star_saa=J_star_saa,
         run=run,
