@@ -29,7 +29,7 @@ from .oracle import (
     sequence_lemma_check,
     variational_experiment,
 )
-from .paths import SimulationError, dump_array
+from .paths import _PATHS_PER_WORKER, SimulationError, dump_array
 
 log = logging.getLogger("msa_control")
 
@@ -95,18 +95,22 @@ def _problem_from_config(obj) -> ProblemSpec:
         raise ConfigError("'problem' must be a registry name or an object with \"type\": \"lq\"")
     try:
         n, d, k = (_number(key, obj[key]) for key in "ndk")
+        # the optional arrays default to zeros of these sizes: bound them first
+        if min(n, d, k) < 1 or 8 * max(k * n * d, k * k) > _MAX_PATH_BYTES:
+            raise ConfigError(f"inline LQ sizes n={n}, d={d}, k={k}: each must be at least 1, "
+                              f"and sigma_u (k*n*d) and g_quad (k*k) at most "
+                              f"{_MAX_PATH_BYTES >> 30} GiB of floats")
+
+        def array(key, *shape):
+            """obj[key] as floats of this shape; zeros if an optional key is absent."""
+            value = obj[key] if key in obj or key in ("b1", "G", "Gamma") else np.zeros(shape)
+            return np.asarray(value, dtype=float).reshape(shape)
+
         T = float(obj["T"])
         x0 = np.asarray(obj["x0"], dtype=float)
-        b1 = np.asarray(obj["b1"], dtype=float).reshape(n, n)
-        b2 = np.asarray(obj.get("b2", np.zeros(n)), dtype=float).reshape(n)
-        G = np.asarray(obj["G"], dtype=float).reshape(n, n)
-        Gamma = np.asarray(obj["Gamma"], dtype=float).reshape(n, n)
-        sigma0 = np.asarray(obj.get("sigma0", np.zeros((n, d))), dtype=float).reshape(n, d)
-        sigma_u = np.asarray(
-            obj.get("sigma_u", np.zeros((k, n, d))), dtype=float
-        ).reshape(k, n, d)
-        g_lin = np.asarray(obj.get("g_lin", np.zeros(k)), dtype=float).reshape(k)
-        g_quad = np.asarray(obj.get("g_quad", np.zeros((k, k))), dtype=float).reshape(k, k)
+        b1, b2, G, Gamma = array("b1", n, n), array("b2", n), array("G", n, n), array("Gamma", n, n)
+        sigma0, sigma_u = array("sigma0", n, d), array("sigma_u", k, n, d)
+        g_lin, g_quad = array("g_lin", k), array("g_quad", k, k)
         domain = ControlDomain(np.asarray(obj["domain"], dtype=float))
 
         def sig(t, u):
@@ -173,10 +177,14 @@ def _resolve(cfg, command: str, seed):
         features = config.basis.feature_count(s.n)
         if config.M <= features:
             raise ConfigError(f"M={config.M} must exceed the {features} regression features")
-        bits = math.log2(config.M * (s.n + s.d) * 8) + config.depth
+        # validate remainder's conditional estimator also keeps seven (2^G, nx)
+        # float arrays on its PDE lattice, nx = 2001
+        lattice = 7 * 2001 if command == "remainder" else 0
+        bits = math.log2((config.M * (s.n + s.d) + lattice) * 8) + config.depth
         if bits > math.log2(_MAX_PATH_BYTES):
+            formula = f"(M*(n+d) + {lattice} lattice)*2^G*8" if lattice else "M*2^G*(n+d)*8"
             raise ConfigError(f"M={config.M}, G={config.depth}: paths need about 2^{bits:.1f} "
-                              f"bytes (M*2^G*(n+d)*8), over the {_MAX_PATH_BYTES >> 30} GiB limit")
+                              f"bytes ({formula}), over the {_MAX_PATH_BYTES >> 30} GiB limit")
     if config.ridge == 0 and config.degree >= 1:
         # every path starts at x0, so the step-0 design matrix has rank 1
         raise ConfigError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")
@@ -276,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored: the solver is single-threaded")
+                       help=f"ignored: ensembles of {2 * _PATHS_PER_WORKER}+ paths use every "
+                            "CPU taskset allows, with bitwise identical results")
 
     p = sub.add_parser("solve", help="run the MSA solver on a problem")
     p.add_argument("--config", required=True, help="JSON run configuration")

@@ -22,6 +22,7 @@ from .paths import (
     ControlProcess,
     StateEnsemble,
     TimeGrid,
+    _split_paths,
     evaluate_cost,
     generate_brownian,
     pathwise_cost,
@@ -378,12 +379,16 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     # interpolates each step once; every interval still sums its own steps
     # in ascending order from zero.
     gap_paths = [np.zeros(config.M) for _ in ranges]
-    for i in range(grid.steps):
-        inside = [acc for (lo, hi), acc in zip(ranges, gap_paths) if lo <= i < hi]
-        if inside:
-            term = _lattice_interp(paths[:, i], xs, S[i]) * grid.dt
-            for acc in inside:
-                acc += term
+
+    def accumulate(p_lo, p_hi):
+        for i in range(grid.steps):
+            inside = [acc[p_lo:p_hi] for (lo, hi), acc in zip(ranges, gap_paths) if lo <= i < hi]
+            if inside:
+                term = _lattice_interp(paths[p_lo:p_hi, i], xs, S[i]) * grid.dt
+                for acc in inside:
+                    acc += term
+
+    _split_paths(config.M, accumulate)
     rows, ses = [], []
     for eps, (lo, hi), gap_path in zip(eps_list, ranges, gap_paths):
         delta = np.zeros(nx)

@@ -8,10 +8,16 @@ index order so results are bit-reproducible.
 Increments and states are stored time-major, as contiguous (steps, M, .)
 buffers, and exposed as path-major (M, steps, .) transposed views: every
 per-step slice ``[:, i]`` that the solver loops take is then contiguous.
+
+Euler simulation and the remainder's per-path sums give each usable CPU a
+thread and a contiguous path range once M >= 2 * _PATHS_PER_WORKER (numpy
+drops the interpreter lock in its loops); the bits do not depend on the CPUs.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 import struct
 from dataclasses import dataclass
 
@@ -23,6 +29,9 @@ Array = np.ndarray
 
 # Paths drawn per block before the block is copied into the time-major buffer.
 _BROWNIAN_BLOCK = 512
+# Fewest paths per thread.  Two threads step lq-scalar (the cheapest
+# coefficients) at 0.77x the serial speed at M=16384 and 1.2x at M=32768.
+_PATHS_PER_WORKER = 16384
 
 
 class SimulationError(RuntimeError):
@@ -142,15 +151,33 @@ class StateEnsemble:
     ensemble_seed: int
 
 
-def _euler_step(
-    spec: ProblemSpec, grid: TimeGrid, i: int, x: Array, u_pts: Array, dw: Array
-) -> Array:
-    """One Euler-Maruyama step from x at step i with increments dw."""
+def _split_paths(M: int, fn) -> None:
+    """Call fn(lo, hi) on contiguous ranges covering paths [0, M), one per
+    worker thread, each in a copy of the caller's context (numpy's errstate);
+    inline with one worker.  The first exception in range order is raised."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(cpus or 1, M // _PATHS_PER_WORKER))
+    if workers == 1:
+        return fn(0, M)
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [M * w // workers for w in range(workers + 1)]
+    contexts = [contextvars.copy_context() for _ in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(lambda ctx, lo, hi: ctx.run(fn, lo, hi), contexts, bounds, bounds[1:]))
+
+
+def _euler_step(spec: ProblemSpec, grid: TimeGrid, i: int, x: Array, u_pts: Array, dw: Array,
+                out: Array | None = None) -> Array:
+    """One Euler-Maruyama step x + b dt + sigma dW from step i, into out if given."""
     c = spec.coefficients
     t = i * grid.dt
     drift = np.asarray(c.b(t, x, u_pts))
     diff = np.asarray(c.sigma(t, x, u_pts))
-    return x + drift * grid.dt + np.einsum("bnd,bd->bn", diff, dw)
+    out = np.multiply(drift, grid.dt, out=np.empty(x.shape) if out is None else out)
+    out += x
+    out += np.einsum("bnd,bd->bn", diff, dw)
+    return out
 
 
 def simulate_state(
@@ -165,8 +192,13 @@ def simulate_state(
     pts = spec.domain.points
     X = np.empty((steps + 1, M, spec.n))
     X[0] = spec.x0
-    for i in range(steps):
-        X[i + 1] = _euler_step(spec, grid, i, X[i], pts[u.values[:, i]], W.increments[:, i])
+
+    def step_range(lo, hi):
+        for i in range(steps):
+            u_pts, dw = pts[u.values[lo:hi, i]], W.increments[lo:hi, i]
+            _euler_step(spec, grid, i, X[i, lo:hi], u_pts, dw, out=X[i + 1, lo:hi])
+
+    _split_paths(M, step_range)
     states = X.transpose(1, 0, 2)
     # min and max propagate NaN and show +-inf without a full-size mask
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):

@@ -78,3 +78,36 @@ def coupled_lq2d():
 @pytest.fixture
 def zero_spec():
     return scalar_spec()
+
+
+@pytest.fixture
+def path_split(monkeypatch):
+    """force(cpus, per_worker) sets the CPU count and the paths-per-worker
+    floor of the path split, and returns a record of the thread pools it then
+    creates (``pools``) and the path ranges they are given (``ranges``)."""
+    import concurrent.futures
+    import os
+    from types import SimpleNamespace
+
+    from msa_control import paths
+
+    record = SimpleNamespace(pools=0, ranges=[])
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            record.pools += 1
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            record.ranges.append(args[-2:])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+
+    def force(cpus, per_worker):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(paths, "_PATHS_PER_WORKER", per_worker)
+        record.pools, record.ranges = 0, []
+        return record
+
+    return force

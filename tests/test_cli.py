@@ -89,11 +89,14 @@ class TestSolve:
             '[{"M": 200}]', {"G": 40}, {"G": 1_000_000_000}, {"mu_tol": float("nan")},
             '{"M": 200, "G": 4, "ridge": 1e400}', {"M": 200.9}, {"M": "200"},
             {"m_max": True}, {"Mmax": 3},
+            # its zero sigma0 and sigma_u defaults alone would need 8 PB
+            {"problem": {**INLINE_LQ, "d": 10**15}},
         ],
         ids=[
             "M-not-above-features", "u0-unknown", "u0-index-99", "u0-index-minus-1",
             "ridge-zero-with-degree", "top-level-list", "G-40", "G-1e9", "mu_tol-nan",
             "ridge-overflow", "M-non-integral", "M-string", "m_max-bool", "unknown-key",
+            "inline-lq-d-1e15",
         ],
     )
     def test_invalid_run_input(self, tmp_path, capsys, overrides):
@@ -194,11 +197,13 @@ class TestValidate:
             ("remainder", {"M": 200, "u0_index": True}, "error: u0_index must be an integer"),
             ("sequence", {"m_max": 0}, "error: m_max=0 must be at least 1"),
             ("sequence", {"m_max": "abc"}, "error: m_max must be an integer"),
+            # 2^30 bytes of paths, but seven (2^24, 2001) lattice arrays of 268 GB each
+            ("remainder", {"M": 4, "G": 24}, "error: M=4, G=24: paths need about 2^40.8"),
         ],
         ids=[
             "remainder-u0-index", "remainder-coarse-grid", "variational-coarse-grid",
             "variational-M-not-above-features", "remainder-u0-index-bool", "sequence-m_max-0",
-            "sequence-m_max-string",
+            "sequence-m_max-string", "remainder-lattice-footprint",
         ],
     )
     def test_bad_config_exits_config(self, tmp_path, capsys, experiment, cfg, cause):

@@ -164,6 +164,23 @@ class TestRemainderExperiment:
         ]
         assert np.isnan(res.slope)  # every row is censored at this size
 
+    def test_conditional_estimator_equal_for_any_worker_count(self, path_split):
+        # 1001 paths with a floor of 300 per worker: 1, 2 or 3 workers, each
+        # splitting both the simulation and the gap-integral sums
+        spec = get_problem("nonconvex-diffusion")
+        config = MSAConfig(M=1001, depth=6, N_max=6, seed=3)
+        eps_list = [spec.T * 2.0 ** (-N) for N in range(2, 7)]
+        results = {}
+        for workers in (1, 2, 3):
+            record = path_split(cpus=workers, per_worker=300)
+            res = remainder_experiment(spec, spec.domain.size - 1, 0.5, eps_list, config, nx=201)
+            results[workers] = (
+                [R.hex() for _, R, _ in res.rows], [s.hex() for s in res.standard_errors]
+            )
+            assert record.pools == (0 if workers == 1 else 2)
+            assert len(record.ranges) == (0 if workers == 1 else 2 * workers)
+        assert results[2] == results[1] and results[3] == results[1]
+
     @pytest.mark.parametrize("lo, hi, nx", [(-3.7, 2.9, 2001), (0.1, 0.4, 7), (-1.0, 1.0, 2)])
     def test_lattice_interp_matches_np_interp(self, lo, hi, nx):
         from msa_control.oracle import _lattice_interp

@@ -160,6 +160,84 @@ class TestSimulateState:
         assert not np.array_equal(Xa.states[:, -1], Xb.states[:, -1])
 
 
+class TestPathSplit:
+    # 301 paths with a floor of 100 per worker: 1, 2 or 3 workers, uneven ranges
+    M = 301
+    RANGES = {1: [], 2: [(0, 150), (150, 301)], 3: [(0, 100), (100, 200), (200, 301)]}
+
+    def ensemble(self, spec, depth=5):
+        grid = TimeGrid(T=1.0, depth=depth)
+        W = generate_brownian(grid, self.M, 1, 3)
+        rng = np.random.default_rng(0)
+        values = rng.integers(0, spec.domain.size, (self.M, grid.steps))
+        return grid, W, ControlProcess(values, spec.domain.size)
+
+    def test_states_equal_for_any_worker_count(self, path_split):
+        spec = get_problem("nonconvex-diffusion")
+        grid, W, u = self.ensemble(spec)
+        states = {}
+        for workers, ranges in self.RANGES.items():
+            record = path_split(cpus=workers, per_worker=100)
+            states[workers] = simulate_state(spec, grid, W, u).states
+            assert record.ranges == ranges and record.pools == min(len(ranges), 1)
+        assert np.array_equal(states[2], states[1]) and np.array_equal(states[3], states[1])
+
+    def test_nonfinite_in_last_range_named_as_serial(self, path_split):
+        # the drift is NaN under the control point 1.0; paths 250.. take it
+        # from step 2 and paths 200..249 from step 4, so path 200 is the
+        # first non-finite path and step 5 its first non-finite step
+        spec = scalar_spec(b=lambda t, x, u: np.where(u > 0.5, np.nan, 0.0))
+        grid = TimeGrid(T=1.0, depth=4)
+        W = generate_brownian(grid, self.M, 1, 3)
+        values = np.zeros((self.M, grid.steps), dtype=np.int64)
+        values[200:, 4:] = 2
+        values[250:, 2:] = 2
+        u = ControlProcess(values, 3)
+        for workers in self.RANGES:
+            path_split(cpus=workers, per_worker=100)
+            with pytest.raises(SimulationError, match=r"^non-finite state at path 200, step 5$"):
+                simulate_state(spec, grid, W, u)
+
+    def test_worker_exception_reraised(self, path_split):
+        class Boom(Exception):
+            pass
+
+        def b(t, x, u):
+            if np.any(u > 0.5):
+                raise Boom("drift failed")
+            return np.zeros_like(x)
+
+        spec = scalar_spec(b=b)
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, self.M, 1, 3)
+        values = np.zeros((self.M, grid.steps), dtype=np.int64)
+        values[-1, -1] = 2  # only the last range's last step raises
+        for workers in self.RANGES:
+            record = path_split(cpus=workers, per_worker=100)
+            with pytest.raises(Boom, match="drift failed"):
+                simulate_state(spec, grid, W, ControlProcess(values, 3))
+            assert len(record.ranges) == len(self.RANGES[workers])
+
+    def test_caller_errstate_applies_in_workers(self, path_split):
+        # the drift overflows only on the last range's last step
+        spec = scalar_spec(b=lambda t, x, u: np.where(u > 0.5, 1e308, 0.0) * 10.0)
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, self.M, 1, 3)
+        values = np.zeros((self.M, grid.steps), dtype=np.int64)
+        values[-1, -1] = 2
+        for workers in self.RANGES:
+            path_split(cpus=workers, per_worker=100)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                simulate_state(spec, grid, W, ControlProcess(values, 3))
+
+    def test_no_pool_below_threshold(self, path_split, zero_spec):
+        # three CPUs, but 301 paths are fewer than two workers' floor of 151
+        record = path_split(cpus=3, per_worker=151)
+        grid, W, u = self.ensemble(zero_spec, depth=3)
+        simulate_state(zero_spec, grid, W, u)
+        assert record.pools == 0 and record.ranges == []
+
+
 class TestCost:
     def test_martingale_terminal_cost(self):
         spec = scalar_spec(
