@@ -4,12 +4,10 @@ simulate_state / generate_brownian per layer, serial against split.
     git archive <parent-commit> | tar -x -C <parent-dir>
     python3 scripts/bench_paths_parallel.py --parent <parent-dir> --out BENCH_paths_parallel.json
 
-Pairs run the BENCHMARK.json command (``perfbench/run.py --trace 0``) in both
-checkouts back to back, parent first on odd seeds and change first on even
-seeds.  The per-layer part imports this checkout's ``src`` and forces one
-worker, or a split over every CPU at any size, by replacing
-``paths._PATHS_PER_WORKER``; every split result is compared bit for bit
-with the serial one.
+Pairs come from ``bench_pairs.pairs``.  The per-layer part imports this
+checkout's ``src`` and forces one worker, or a split over every CPU at any
+size, by replacing ``paths._PATHS_PER_WORKER``; every split result is
+compared bit for bit with the serial one.
 """
 
 from __future__ import annotations
@@ -17,55 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("setup_s", "run_s", "iter_s", "peak_rss_mb")
-
-
-def _bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    lines = proc.stdout.strip().splitlines()
-    # the last line holds the metrics; the one before, the run record with
-    # the result fields in hex
-    return {"final": json.loads(lines[-1]), "results": json.loads(lines[-2])["record"]["result"]}
-
-
-def _quartiles(xs) -> dict:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4),
-            "per_seed": [round(x, 4) for x in xs]}
-
-
-def pairs(parent: Path, workload: str, seeds, seconds: float) -> dict:
-    runs = {"parent": [], "change": []}
-    for seed in seeds:
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        for side in order:
-            runs[side].append(_bench(parent if side == "parent" else ROOT, workload, seed,
-                                     seconds))
-            print(workload, seed, side, runs[side][-1]["final"]["metrics"], file=sys.stderr)
-    out = {side: {"attempted": sum(r["final"]["attempted"] for r in rs),
-                  "failed": sum(r["final"]["failed"] for r in rs)}
-           for side, rs in runs.items()}
-    out["results_equal_to_parent"] = all(
-        p["results"] == c["results"] and p["results"]
-        for p, c in zip(runs["parent"], runs["change"])
-    )
-    for metric in METRICS:
-        values = {side: [r["final"]["metrics"][metric]["value"] for r in rs]
-                  for side, rs in runs.items()}
-        out[metric] = {side: _quartiles(v) for side, v in values.items()}
-        out[metric]["change_wins"] = sum(c < p for p, c in zip(values["parent"],
-                                                                values["change"]))
-    return out
+from bench_pairs import ROOT, host, pairs
 
 
 def _alternate(serial, split, repeats):
@@ -163,18 +118,13 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=7, help="per-layer repeats per side")
     args = ap.parse_args(argv)
 
-    import numpy
-    import scipy
-
     report = {
         "what": "path split across CPUs: perfbench pairs against the parent commit, and "
                 "per-layer medians, one worker forced against a split over every CPU "
                 "forced at any size (library_splits: whether the library splits at that M)",
         "command": "python3 perfbench/run.py --workload <name> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
-        "host": {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                 "numpy": numpy.__version__, "scipy": scipy.__version__,
-                 "machine": platform.machine()},
+        "host": host(),
         "workloads": {},
     }
     plan = (("nonconvex-remainder", args.pairs), ("lq-scalar-solve", args.solve_pairs),

@@ -8,7 +8,6 @@ from .adjoint import (
     RegressionRankError,
     adjoint_sweep,
     hessian_of_H,
-    lq_closed_form_adjoint,
     regress_conditional,
     solve_first_adjoint,
     solve_second_adjoint,
@@ -50,6 +49,7 @@ from .oracle import (
     SequenceResult,
     VariationalResult,
     build_oracle,
+    lq_closed_form_adjoint,
     lq_optimal_control,
     lyapunov_solve,
     rate_experiment,

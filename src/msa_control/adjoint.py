@@ -7,10 +7,7 @@ expectations are estimated by ridge-regularized polynomial regression on the
 state (Gobet, Lemor and Warin, Ann. Appl. Probab. 2005).  The q
 (and transient Q) targets use the quotient estimator p_{t+1} dW / dt with the
 regressed continuation value subtracted as a zero-mean control variate.
-
-An exact closed-form backend is provided for LQ problems (p = K X + k,
-q^i = K sigma^i, P = K with K from the Lyapunov ODE); it is the oracle
-against which the regression solvers are tested.
+Stored adjoints are time-major, like the states they are regressed on.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .model import LQSpec, ProblemSpec
+from .model import ProblemSpec
 from .paths import BrownianEnsemble, ControlProcess, StateEnsemble, TimeGrid, _check_provenance
 
 Array = np.ndarray
@@ -56,13 +53,13 @@ class RegressionBasis:
 
 @dataclass(frozen=True)
 class AdjointFirst:
-    p: Array  # (M, steps+1, n) view of a time-major buffer
-    q: Array  # (M, steps, n, d) view of a time-major buffer
+    p: Array  # (steps+1, M, n)
+    q: Array  # (steps, M, n, d)
 
 
 @dataclass(frozen=True)
 class AdjointSecond:
-    P: Array  # (M, steps+1, n, n) view of a time-major buffer, slices symmetrized
+    P: Array  # (steps+1, M, n, n), slices symmetrized
     max_presym_asymmetry: float = 0.0
 
 
@@ -114,7 +111,7 @@ def hessian_of_H(spec: ProblemSpec, t: float, x: Array, p: Array, q: Array, u_pt
 
 def _terminal(spec: ProblemSpec, X: StateEnsemble):
     """p(T) = Phi_x(X_T) and P(T) = Phi_xx(X_T), pathwise."""
-    c, x_T = spec.coefficients, X.states[:, -1]
+    c, x_T = spec.coefficients, X.states[-1]
     return np.asarray(c.Phi_x(x_T)), np.asarray(c.Phi_xx(x_T))
 
 
@@ -139,15 +136,15 @@ def adjoint_sweep(
     """
     _check_provenance(X, u)
     c = spec.coefficients
-    steps = u.values.shape[1]
+    steps = u.values.shape[0]
     dt = grid.dt
     pts = spec.domain.points
     p, P = _terminal(spec, X)
     for i in range(steps - 1, -1, -1):
         t = i * dt
-        xi = X.states[:, i]
-        ui = pts[u.values[:, i]]
-        dw = W.increments[:, i]  # (M, d)
+        xi = X.states[i]
+        ui = pts[u.values[i]]
+        dw = W.increments[i]  # (M, d)
         fit = _regressor(xi, basis)  # one Gram matrix for all four fits
         phat, Phat = fit(p)[1], fit(P)[1]
         q = fit((p - phat)[:, :, None] * dw[:, None, :] / dt)[1]
@@ -173,8 +170,8 @@ def adjoint_sweep(
 
 
 def _collect(spec, grid, X, u, basis, W):
-    """Drain adjoint_sweep into time-major buffers behind path-major views."""
-    M, steps = u.values.shape
+    """Drain adjoint_sweep into time-major arrays."""
+    steps, M = u.values.shape
     n, d = spec.n, spec.d
     p, q = np.empty((steps + 1, M, n)), np.empty((steps, M, n, d))
     P = np.empty((steps + 1, M, n, n))
@@ -183,8 +180,7 @@ def _collect(spec, grid, X, u, basis, W):
     for i, p_i, q_i, P_i, asym in adjoint_sweep(spec, grid, X, u, basis, W):
         p[i], q[i], P[i] = p_i, q_i, P_i
         max_asym = max(max_asym, asym)
-    adj1 = AdjointFirst(p=p.transpose(1, 0, 2), q=q.transpose(1, 0, 2, 3))
-    return adj1, AdjointSecond(P=P.transpose(1, 0, 2, 3), max_presym_asymmetry=max_asym)
+    return AdjointFirst(p=p, q=q), AdjointSecond(P=P, max_presym_asymmetry=max_asym)
 
 
 def solve_first_adjoint(
@@ -206,22 +202,3 @@ def solve_second_adjoint(
     """
     return _collect(spec, grid, X, u, basis, W)[1]
 
-
-def lq_closed_form_adjoint(
-    lq: LQSpec, grid: TimeGrid, X: StateEnsemble, u: ControlProcess
-):
-    """Exact LQ adjoints: p = K X + k, q^i = K sigma^i_u, P = K pathwise."""
-    from .oracle import lyapunov_solve  # deferred: oracle imports this module
-
-    _check_provenance(X, u)
-    K, kvec, _ = lyapunov_solve(lq, grid)
-    M, steps = u.values.shape
-    n, d = lq.n, lq.d
-    pts = lq.domain.points
-    p = np.einsum("sij,bsj->bsi", K, X.states) + kvec[None, :, :]
-    q = np.empty((M, steps, n, d))
-    for i in range(steps):
-        sig = np.asarray(lq.sigma_u(i * grid.dt, pts[u.values[:, i]]))
-        q[:, i] = np.einsum("ij,bjd->bid", K[i], sig)
-    P = np.broadcast_to(K[None, :, :, :], (M, steps + 1, n, n)).copy()
-    return AdjointFirst(p=p, q=q), AdjointSecond(P=P)

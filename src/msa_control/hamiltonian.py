@@ -20,10 +20,10 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class GapProcess:
-    """Pointwise H-function gap and the selected minimizer, per (path, step)."""
+    """Pointwise H-function gap and the selected minimizer, per (step, path)."""
 
-    values: Array          # (M, steps), all <= 0
-    argmin_indices: Array  # (M, steps) domain indices
+    values: Array          # (steps, M), all <= 0
+    argmin_indices: Array  # (steps, M) domain indices
 
 
 def _h_terms(p: Array, q: Array, b: Array, sig: Array, f: Array) -> Array:
@@ -117,7 +117,7 @@ def gap_process(
     u: ControlProcess,
     adjoints,
 ) -> GapProcess:
-    """Apply minimize_h at every (path, step) of the frozen ensemble.
+    """Apply minimize_h at every (step, path) of the frozen ensemble.
 
     ``adjoints`` yields one (i, p_i, q_i, P_i, asym_i) slice per step, in any
     step order (``adjoint_sweep`` yields them backward); each slice is used
@@ -125,19 +125,19 @@ def gap_process(
     the stage, the step and the first bad path.
     """
     _check_provenance(X, u)
-    M, steps = u.values.shape
-    values = np.empty((M, steps))
-    argmins = np.empty((M, steps), dtype=np.int64)
+    values = np.empty(u.values.shape)
+    argmins = np.empty(u.values.shape, dtype=np.int64)
     for i, p, q, P, _ in adjoints:
         _check_finite("adjoint", i, p, q, P)
-        v_idx, gap = minimize_h(spec, i * grid.dt, X.states[:, i], p, q, P, u.values[:, i])
-        _check_finite("gap", i, gap)
-        values[:, i] = gap
-        argmins[:, i] = v_idx
+        argmins[i], values[i] = minimize_h(spec, i * grid.dt, X.states[i], p, q, P, u.values[i])
+        _check_finite("gap", i, values[i])
     return GapProcess(values=values, argmin_indices=argmins)
 
 
 def mu(gaps: GapProcess, grid: TimeGrid) -> float:
-    """mu(u) = mean over paths of the time integral of the gap; always <= 0."""
-    per_path = np.sum(gaps.values, axis=1) * grid.dt
+    """mu(u) = mean over paths of the time integral of the gap; always <= 0.
+
+    Each path's steps are added in ascending order, then the paths pairwise.
+    """
+    per_path = np.sum(gaps.values, axis=0) * grid.dt
     return float(np.sum(per_path) / per_path.shape[0])

@@ -73,24 +73,27 @@ def spike_control(
 ) -> ControlProcess:
     """Replace u by the pathwise H-minimizer on the interval or [lo, hi) steps."""
     lo, hi = interval.step_range if isinstance(interval, DyadicInterval) else interval
-    steps = u.values.shape[1]
+    steps = u.values.shape[0]
     if not (0 <= lo < hi <= steps):
         raise ValueError(f"interval steps [{lo}, {hi}) misaligned with grid of {steps} steps")
     vals = u.values.copy()
-    vals[:, lo:hi] = gaps.argmin_indices[:, lo:hi]
+    vals[lo:hi] = gaps.argmin_indices[lo:hi]
     return ControlProcess(vals, u.num_points)
 
 
 def find_descent_interval(
     gaps: GapProcess, mu_value: float, N: int, grid: TimeGrid, T: float
 ) -> Optional[int]:
-    """Smallest j whose interval gap integral is <= 2 eps_N mu / T, else None."""
+    """Smallest j whose interval gap integral is <= 2 eps_N mu / T, else None.
+
+    Each path's steps in an interval are added in ascending order, then the
+    paths pairwise.
+    """
     if N < 1 or N > grid.depth:
         raise ValueError(f"level N={N} outside 1..{grid.depth}")
-    half = 1 << (N - 1)
-    M = gaps.values.shape[0]
-    blocks = gaps.values.reshape(M, half, -1).sum(axis=2)
-    integrals = blocks.sum(axis=0) / M * grid.dt  # (half,)
+    M = gaps.values.shape[1]
+    blocks = gaps.values.reshape(1 << (N - 1), -1, M).sum(axis=1)
+    integrals = blocks.sum(axis=1) / M * grid.dt  # one per interval j
     eps = T * 2.0 ** (-N)
     threshold = 2.0 * eps * mu_value / T
     slack = _INTERVAL_SLACK * max(1.0, abs(threshold))
@@ -202,6 +205,10 @@ def msa_step(
         cand = spike_control(state.u, state.gaps, interval)
         X_cand = simulate_state(spec, grid, W, cand)
         J_cand = evaluate_cost(spec, grid, X_cand, cand)
+        if not np.isfinite(J_cand):
+            raise SimulationError(
+                f"non-finite candidate cost at iteration {state.m}, level {N}, interval {j}"
+            )
         if J_cand - state.J <= interval.eps * state.mu / spec.T:
             rec = IterationRecord(
                 m=state.m,
@@ -262,7 +269,7 @@ def _worst_constant(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble) -> i
     cost = np.zeros(V * M)
     for i in range(W.steps):
         cost += np.asarray(c.f(i * grid.dt, x, u_pts)) * grid.dt
-        x = _euler_step(spec, grid, i, x, u_pts, np.tile(W.increments[:, i], (V, 1)))
+        x = _euler_step(spec, grid, i, x, u_pts, np.tile(W.increments[i], (V, 1)))
         bad = ~np.isfinite(x).all(axis=1)
         if bad.any():
             row = int(np.argmax(bad))

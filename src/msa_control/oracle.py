@@ -14,6 +14,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .adjoint import AdjointFirst, AdjointSecond
 from .hamiltonian import GapProcess
 from .model import LQSpec, ProblemSpec, lq_embed
 from .msa import DyadicInterval, MSAConfig, MSARun, prepare_state, run_msa, spike_control
@@ -22,6 +23,7 @@ from .paths import (
     ControlProcess,
     StateEnsemble,
     TimeGrid,
+    _check_provenance,
     _split_paths,
     evaluate_cost,
     generate_brownian,
@@ -81,6 +83,20 @@ def lyapunov_solve(lq: LQSpec, grid: TimeGrid) -> Tuple[Array, Array, Array]:
         c[i - 1] = c[i] + h / 6 * (c1 + 2 * c2 + 2 * c3 + c4)
         K[i - 1] = 0.5 * (K[i - 1] + K[i - 1].T)
     return K, kv, c
+
+
+def lq_closed_form_adjoint(lq: LQSpec, grid: TimeGrid, X: StateEnsemble, u: ControlProcess):
+    """Exact LQ adjoints: p = K X + k, q^i = K sigma^i_u, P = K pathwise."""
+    _check_provenance(X, u)
+    K, kvec, _ = lyapunov_solve(lq, grid)
+    steps, M = u.values.shape
+    pts = lq.domain.points
+    p = np.einsum("sij,sbj->sbi", K, X.states) + kvec[:, None, :]
+    q = np.empty((steps, M, lq.n, lq.d))
+    for i in range(steps):
+        q[i] = np.einsum("ij,bjd->bid", K[i], np.asarray(lq.sigma_u(i * grid.dt, pts[u.values[i]])))
+    P = np.broadcast_to(K[:, None], (steps + 1, M, lq.n, lq.n)).copy()
+    return AdjointFirst(p=p, q=q), AdjointSecond(P=P)
 
 
 @dataclass(frozen=True)
@@ -321,7 +337,7 @@ def _direct_remainder(spec, u, tau, eps_list, config):
         cand = spike_control(u, state.gaps, (lo, hi))
         X_cand = simulate_state(spec, grid, W, cand)
         diff = pathwise_cost(spec, grid, X_cand, cand) - pc_base
-        gap_path = state.gaps.values[:, lo:hi].sum(axis=1) * grid.dt
+        gap_path = state.gaps.values[lo:hi].sum(axis=0) * grid.dt
         r = diff - gap_path
         rows.append((float(eps), float(np.sum(r) / config.M)))
         ses.append(float(np.std(r) / np.sqrt(config.M)))
@@ -373,7 +389,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     fields = _scalar_value_fields(spec, grid, X, u_index, nx)
     xs, S = fields.xs, fields.S
     dx = xs[1] - xs[0]
-    paths = X.states[:, :, 0]
+    paths = X.states[:, :, 0]  # (steps+1, M)
     ranges = [_interval_steps(tau, eps, grid) for eps in eps_list]
     # The intervals are nested around tau, so one pass over their union
     # interpolates each step once; every interval still sums its own steps
@@ -384,7 +400,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
         for i in range(grid.steps):
             inside = [acc[p_lo:p_hi] for (lo, hi), acc in zip(ranges, gap_paths) if lo <= i < hi]
             if inside:
-                term = _lattice_interp(paths[p_lo:p_hi, i], xs, S[i]) * grid.dt
+                term = _lattice_interp(paths[i, p_lo:p_hi], xs, S[i]) * grid.dt
                 for acc in inside:
                     acc += term
 
@@ -394,7 +410,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
         delta = np.zeros(nx)
         for i in range(hi - 1, lo - 1, -1):
             delta = _cn_step(delta, fields.b_sel[i], fields.s2_sel[i], S[i], grid.dt, dx)
-        r = _lattice_interp(paths[:, lo], xs, delta) - gap_path
+        r = _lattice_interp(paths[lo], xs, delta) - gap_path
         rows.append((float(eps), float(np.sum(r) / config.M)))
         ses.append(float(np.std(r) / np.sqrt(config.M)))
     return rows, ses
@@ -436,8 +452,8 @@ def remainder_experiment(
 
 @dataclass(frozen=True)
 class VariationalEnsemble:
-    X1: Array  # (M, steps+1, n) view of a time-major buffer
-    X2: Array  # (M, steps+1, n) view of a time-major buffer
+    X1: Array  # (steps+1, M, n)
+    X2: Array  # (steps+1, M, n)
 
 
 def variational_simulate(
@@ -460,7 +476,7 @@ def variational_simulate(
             raise ValueError(f"second derivative {name} required for variational SDEs")
     lo, hi = interval.step_range if isinstance(interval, DyadicInterval) else interval
     u_vals = X.control_values
-    M, steps = u_vals.shape
+    steps, M = u_vals.shape
     n = spec.n
     dt = grid.dt
     pts = spec.domain.points
@@ -472,11 +488,11 @@ def variational_simulate(
     X2 = np.zeros((steps + 1, M, n))
     for i in range(steps):
         t = i * dt
-        xi = X.states[:, i]
-        ui = pts[u_vals[:, i]]
-        vi = pts[gaps.argmin_indices[:, i]]
+        xi = X.states[i]
+        ui = pts[u_vals[i]]
+        vi = pts[gaps.argmin_indices[i]]
         on = 1.0 if lo <= i < hi else 0.0
-        dw = W.increments[:, i]  # (M, d)
+        dw = W.increments[i]  # (M, d)
 
         b_x = np.asarray(c.b_x(t, xi, ui))
         sigma_x = np.asarray(c.sigma_x(t, xi, ui))
@@ -513,10 +529,8 @@ def variational_simulate(
             + np.einsum("bjd,bd->bj", diff2, dw)
         )
 
-    X1 = X1.transpose(1, 0, 2)
-    X2 = X2.transpose(1, 0, 2)
     defect = X_sp.states - X.states - X1 - X2
-    e = float(np.mean(np.max(np.sum(defect**2, axis=2), axis=1)))
+    e = float(np.mean(np.max(np.sum(defect**2, axis=2), axis=0)))
     return VariationalEnsemble(X1=X1, X2=X2), e
 
 

@@ -5,9 +5,10 @@ ensemble is generated up front and every expectation (cost, adjoints,
 Hamiltonian gaps) is an average over its paths.  All reductions use a fixed
 index order so results are bit-reproducible.
 
-Increments and states are stored time-major, as contiguous (steps, M, .)
-buffers, and exposed as path-major (M, steps, .) transposed views: every
-per-step slice ``[:, i]`` that the solver loops take is then contiguous.
+Every per-path array (increments, states, controls, and downstream the
+adjoints and gaps) is time-major, (steps, M, .), so the per-step slice
+``[i]`` that the solver loops take is contiguous.  Only the file format of
+``dump_array``/``load_array`` is path-major.
 
 Euler simulation and the remainder's per-path sums give each usable CPU a
 thread and a contiguous path range once M >= 2 * _PATHS_PER_WORKER (numpy
@@ -72,16 +73,16 @@ class TimeGrid:
 class BrownianEnsemble:
     """Frozen N(0, dt) increments, one counter-based stream per path."""
 
-    increments: Array  # (M, steps, d) view of a time-major buffer
+    increments: Array  # (steps, M, d)
     seed: int
 
     @property
     def M(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[1]
 
     @property
     def steps(self) -> int:
-        return self.increments.shape[1]
+        return self.increments.shape[0]
 
     @property
     def d(self) -> int:
@@ -114,14 +115,14 @@ def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnse
             gen.standard_normal(out=block[k])
         out[:, start : start + size] = block[:size].transpose(1, 0, 2)
     out *= np.sqrt(grid.dt)
-    return BrownianEnsemble(increments=out.transpose(1, 0, 2), seed=seed)
+    return BrownianEnsemble(increments=out, seed=seed)
 
 
 @dataclass(frozen=True)
 class ControlProcess:
     """Pathwise piecewise-constant control, stored as domain indices."""
 
-    values: Array  # (M, steps) int
+    values: Array  # (steps, M) int
     num_points: int
 
     def __post_init__(self):
@@ -132,21 +133,21 @@ class ControlProcess:
 
     @classmethod
     def constant(cls, index: int, M: int, steps: int, num_points: int) -> "ControlProcess":
-        """Read-only broadcast view: no (M, steps) array is materialised."""
-        return cls(np.broadcast_to(np.int64(index), (M, steps)), num_points)
+        """Read-only broadcast view: no (steps, M) array is materialised."""
+        return cls(np.broadcast_to(np.int64(index), (steps, M)), num_points)
 
     @classmethod
     def deterministic(cls, row: Array, M: int, num_points: int) -> "ControlProcess":
         """Read-only broadcast view of one row shared by all paths."""
         row = np.asarray(row, dtype=np.int64)
-        return cls(np.broadcast_to(row, (M, row.shape[0])), num_points)
+        return cls(np.broadcast_to(row[:, None], (row.shape[0], M)), num_points)
 
 
 @dataclass(frozen=True)
 class StateEnsemble:
     """Euler-Maruyama state paths plus provenance identifiers."""
 
-    states: Array  # (M, steps+1, n) view of a time-major buffer
+    states: Array  # (steps+1, M, n)
     control_values: Array
     ensemble_seed: int
 
@@ -185,9 +186,9 @@ def simulate_state(
 ) -> StateEnsemble:
     """Euler-Maruyama: X_{i+1} = X_i + b dt + sigma dW_i, X_0 = x0."""
     M, steps = W.M, W.steps
-    if u.values.shape != (M, steps):
+    if u.values.shape != (steps, M):
         raise ProvenanceError(
-            f"control shape {u.values.shape} does not match ensemble ({M}, {steps})"
+            f"control shape {u.values.shape} does not match ensemble ({steps}, {M})"
         )
     pts = spec.domain.points
     X = np.empty((steps + 1, M, spec.n))
@@ -195,16 +196,16 @@ def simulate_state(
 
     def step_range(lo, hi):
         for i in range(steps):
-            u_pts, dw = pts[u.values[lo:hi, i]], W.increments[lo:hi, i]
+            u_pts, dw = pts[u.values[i, lo:hi]], W.increments[i, lo:hi]
             _euler_step(spec, grid, i, X[i, lo:hi], u_pts, dw, out=X[i + 1, lo:hi])
 
     _split_paths(M, step_range)
-    states = X.transpose(1, 0, 2)
     # min and max propagate NaN and show +-inf without a full-size mask
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):
-        p, i, _ = np.argwhere(~np.isfinite(states))[0]
-        raise SimulationError(f"non-finite state at path {p}, step {i}")
-    return StateEnsemble(states=states, control_values=u.values, ensemble_seed=W.seed)
+        bad = ~np.isfinite(X).all(axis=2)
+        p = int(np.argmax(bad.any(axis=0)))
+        raise SimulationError(f"non-finite state at path {p}, step {np.argmax(bad[:, p])}")
+    return StateEnsemble(states=X, control_values=u.values, ensemble_seed=W.seed)
 
 
 def _check_provenance(X: StateEnsemble, u: ControlProcess) -> None:
@@ -222,11 +223,9 @@ def pathwise_cost(
     c = spec.coefficients
     pts = spec.domain.points
     dt = grid.dt
-    M, steps = u.values.shape
-    total = np.asarray(c.Phi(X.states[:, -1])).copy()
-    for i in range(steps):
-        ui = pts[u.values[:, i]]
-        total += np.asarray(c.f(i * dt, X.states[:, i], ui)) * dt
+    total = np.asarray(c.Phi(X.states[-1])).copy()
+    for i in range(u.values.shape[0]):
+        total += np.asarray(c.f(i * dt, X.states[i], pts[u.values[i]])) * dt
     return total
 
 
@@ -242,8 +241,7 @@ def empirical_moment(X: StateEnsemble, order: int) -> float:
     """Mean over paths of sup_i |X_i|^order; sanity stat for moment bounds."""
     if order not in (2, 4, 8):
         raise ValueError("order must be one of 2, 4, 8")
-    norms = np.linalg.norm(X.states, axis=2)  # (M, steps+1)
-    sup = norms.max(axis=1)
+    sup = np.linalg.norm(X.states, axis=2).max(axis=0)  # (M,)
     return float(np.sum(sup**order) / sup.shape[0])
 
 
@@ -251,20 +249,22 @@ _HEADER = struct.Struct("<QQQQ")
 
 
 def dump_array(path, arr: Array, seed: int) -> None:
-    """Flat binary dump: little-endian u64 header (M, steps, dim, seed), then
-    row-major float64 data."""
+    """Flat binary dump of a time-major (steps, M[, dim]) array: little-endian
+    u64 header (M, steps, dim, seed), then float64 data path-major, as
+    (M, steps, dim) row-major."""
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[:, :, None]
-    M, steps, dim = arr.shape
+    steps, M, dim = arr.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(M, steps, dim, seed & 0xFFFFFFFFFFFFFFFF))
-        fh.write(np.ascontiguousarray(arr).tobytes())
+        fh.write(np.ascontiguousarray(arr.transpose(1, 0, 2)).tobytes())
 
 
 def load_array(path):
-    """Inverse of :func:`dump_array`; returns (array (M, steps, dim), seed)."""
+    """Inverse of :func:`dump_array`: reads the path-major file and returns
+    (time-major array (steps, M, dim), seed)."""
     with open(path, "rb") as fh:
         M, steps, dim, seed = _HEADER.unpack(fh.read(_HEADER.size))
         data = np.frombuffer(fh.read(), dtype=np.float64).reshape(M, steps, dim)
-    return data, seed
+    return np.ascontiguousarray(data.transpose(1, 0, 2)), seed

@@ -1,9 +1,26 @@
 """Shared builders for small scalar test problems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from msa_control import CoefficientSet, ControlDomain, LQSpec, ProblemSpec
+from msa_control import (
+    CoefficientSet,
+    ControlDomain,
+    ControlProcess,
+    LQSpec,
+    MSAConfig,
+    ProblemSpec,
+    TimeGrid,
+    dyadic_interval,
+    evaluate_cost,
+    generate_brownian,
+    get_problem,
+    prepare_state,
+    simulate_state,
+    spike_control,
+)
 
 
 def _zero(t, x, u):
@@ -73,6 +90,29 @@ def coupled_lq2d():
         g=lambda t, u: 0.1 * np.sum(u**2, axis=1),
         domain=ControlDomain(np.array(pts)),
     )
+
+
+def nan_at_level_one_candidate():
+    """(spec, config): lq-scalar at M=300, G=5, seed 3, whose Phi is NaN
+    exactly at the terminal states of the first iteration's level-1
+    candidate from the first-point start, and unchanged elsewhere."""
+    spec = get_problem("lq-scalar")
+    config = MSAConfig(M=300, depth=5, N_max=5, seed=3)
+    grid = TimeGrid(T=spec.T, depth=config.depth)
+    W = generate_brownian(grid, config.M, spec.d, config.seed)
+    u = ControlProcess.constant(0, config.M, grid.steps, spec.domain.size)
+    X = simulate_state(spec, grid, W, u)
+    state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), config.basis)
+    cand = spike_control(u, state.gaps, dyadic_interval(spec.T, 1, 1, grid))
+    x_T = simulate_state(spec, grid, W, cand).states[-1]
+    Phi = spec.coefficients.Phi
+
+    def poisoned(x):
+        out = np.asarray(Phi(x))
+        return np.full_like(out, np.nan) if np.array_equal(x, x_T) else out
+
+    coefficients = dataclasses.replace(spec.coefficients, Phi=poisoned)
+    return dataclasses.replace(spec, coefficients=coefficients), config
 
 
 @pytest.fixture

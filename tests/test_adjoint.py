@@ -110,8 +110,8 @@ class TestFirstAdjoint:
         spec = lq_embed(get_lq("lq-scalar"))
         grid, W, u, X = frozen_ensemble(spec, M=500, depth=4)
         adj = solve_first_adjoint(spec, grid, X, u, RegressionBasis(), W)
-        expected = np.asarray(spec.coefficients.Phi_x(X.states[:, -1]))
-        assert np.array_equal(adj.p[:, -1], expected)
+        expected = np.asarray(spec.coefficients.Phi_x(X.states[-1]))
+        assert np.array_equal(adj.p[-1], expected)
 
 
 class TestHessianOfH:
@@ -154,7 +154,7 @@ class TestSecondAdjoint:
         grid, W, u, X = frozen_ensemble(spec, M=4000, depth=5, u_index=1)
         adj1 = solve_first_adjoint(spec, grid, X, u, RegressionBasis(), W)
         adj2 = solve_second_adjoint(spec, grid, X, u, adj1, RegressionBasis(), W)
-        profile = adj2.P[:, :, 0, 0].mean(axis=0)
+        profile = adj2.P[:, :, 0, 0].mean(axis=1)
         target = spec.T - grid.times
         assert np.max(np.abs(profile - target)) <= 0.02 * spec.T
 
@@ -180,8 +180,8 @@ class TestSecondAdjoint:
         grid, W, u, X = frozen_ensemble(spec, M=500, depth=4)
         adj1 = solve_first_adjoint(spec, grid, X, u, RegressionBasis(), W)
         adj2 = solve_second_adjoint(spec, grid, X, u, adj1, RegressionBasis(), W)
-        expected = np.asarray(spec.coefficients.Phi_xx(X.states[:, -1]))
-        assert np.array_equal(adj2.P[:, -1], expected)
+        expected = np.asarray(spec.coefficients.Phi_xx(X.states[-1]))
+        assert np.array_equal(adj2.P[-1], expected)
 
 
 class TestClosedFormAdjoint:
@@ -198,7 +198,7 @@ class TestClosedFormAdjoint:
         spec = lq_embed(lq)
         grid, W, u, X = frozen_ensemble(spec, M=100, depth=4)
         _, adj2 = lq_closed_form_adjoint(lq, grid, X, u)
-        target = (spec.T - grid.times)[None, :]
+        target = (spec.T - grid.times)[:, None]
         assert np.max(np.abs(adj2.P[:, :, 0, 0] - target)) <= 1e-10
 
     def test_affine_offset(self):
@@ -207,5 +207,5 @@ class TestClosedFormAdjoint:
         spec = lq_embed(lq)
         grid, W, u, X = frozen_ensemble(spec, M=100, depth=4)
         adj1, _ = lq_closed_form_adjoint(lq, grid, X, u)
-        target = X.states[:, :, 0] + (spec.T - grid.times)[None, :]
+        target = X.states[:, :, 0] + (spec.T - grid.times)[:, None]
         assert np.max(np.abs(adj1.p[:, :, 0] - target)) <= 1e-9

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from msa_control.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+
+from conftest import nan_at_level_one_candidate
 
 
 INLINE_LQ = {
@@ -135,6 +138,37 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "numerical failure: non-finite state under constant control 0 at path 0, step 2\n"
         )
+
+    def test_nonfinite_candidate_cost_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        import msa_control.cli as cli
+
+        spec, config = nan_at_level_one_candidate()
+        monkeypatch.setattr(cli.registry, "get_problem", lambda name: spec)
+        cfg = write_config(tmp_path, M=config.M, G=config.depth, seed=config.seed, m_max=50)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite candidate cost at iteration 0, level 1, interval 1\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_outputs_pinned(self, tmp_path):
+        # recorded before the switch to time-major per-path arrays: the
+        # control file's bytes and every solver decision stay in place (mu is
+        # left out: its step sums changed order, which moves its last digit)
+        cfg = write_config(tmp_path, M=1000, G=5, m_max=10)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256((out / "final_control.bin").read_bytes()).hexdigest()
+        assert digest == "8b8ea1641c21399b4bc469cc357389bba61c1ccf3044dbd33ca2ec0b65466265"
+        rows = [line.split(",") for line in (out / "iterations.csv").read_text().splitlines()]
+        assert [[m, J, N, j, acc] for m, J, _, N, j, acc, _ in rows] == [
+            ["m", "J", "N", "j", "accepted"],
+            ["0", "0.6197705674643023", "1", "1", "1"],
+            ["1", "0.5253452798247763", "1", "1", "1"],
+            ["2", "0.524500268793908", "3", "1", "1"],
+            ["3", "0.5244834129643599", "0", "0", "0"],
+        ]
 
     def test_inline_lq_x0_length_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, problem={**INLINE_LQ, "x0": [1.0, 2.0]})

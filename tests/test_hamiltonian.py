@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from conftest import coupled_lq2d, scalar_spec
 
 def stored_slices(adj1, adj2):
     """Per-step (i, p_i, q_i, P_i, asym) slices of stored adjoint arrays."""
-    return ((i, adj1.p[:, i], adj1.q[:, i], adj2.P[:, i], 0.0) for i in range(adj1.q.shape[1]))
+    return ((i, adj1.p[i], adj1.q[i], adj2.P[i], 0.0) for i in range(adj1.q.shape[0]))
 
 
 def batch(*vals):
@@ -228,15 +230,25 @@ class TestGapProcess:
 class TestMu:
     def test_zero_gaps(self):
         grid = TimeGrid(T=1.0, depth=3)
-        gaps = GapProcess(np.zeros((5, grid.steps)), np.zeros((5, grid.steps), dtype=int))
+        gaps = GapProcess(np.zeros((grid.steps, 5)), np.zeros((grid.steps, 5), dtype=int))
         assert mu(gaps, grid) == 0.0
 
     def test_uniform_gap_integral(self):
         grid = TimeGrid(T=2.0, depth=4)
         gaps = GapProcess(
-            np.full((7, grid.steps), -1.0), np.zeros((7, grid.steps), dtype=int)
+            np.full((grid.steps, 7), -1.0), np.zeros((grid.steps, 7), dtype=int)
         )
         assert mu(gaps, grid) == pytest.approx(-2.0, rel=1e-14)
+
+    def test_matches_exact_sum(self):
+        # random non-positive gaps on M = 300 paths: within a few ulps of
+        # the correctly rounded sum
+        grid = TimeGrid(T=1.0, depth=5)
+        for seed in range(20):
+            vals = -np.abs(np.random.default_rng(seed).normal(size=(grid.steps, 300)))
+            ref = math.fsum(vals.ravel().tolist()) * grid.dt / 300
+            got = mu(GapProcess(vals, np.zeros(vals.shape, dtype=np.int64)), grid)
+            assert abs(got - ref) <= 4 * np.spacing(abs(ref))
 
     def test_near_zero_at_lq_optimum(self):
         lq = get_lq("lq-scalar")

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -32,9 +33,10 @@ from msa_control import (
     spike_control,
 )
 
+from msa_control import msa as msa_module
 from msa_control.msa import IterationRecord, SolverState, _initial_control
 
-from conftest import coupled_lq2d, scalar_spec
+from conftest import coupled_lq2d, nan_at_level_one_candidate, scalar_spec
 
 
 class TestDyadicInterval:
@@ -69,8 +71,8 @@ class TestDyadicInterval:
 class TestSpikeControl:
     def make(self, steps=8, M=3, V=3):
         u = ControlProcess.constant(0, M, steps, V)
-        arg = np.full((M, steps), 2, dtype=np.int64)
-        gaps = GapProcess(np.zeros((M, steps)), arg)
+        arg = np.full((steps, M), 2, dtype=np.int64)
+        gaps = GapProcess(np.zeros((steps, M)), arg)
         return u, gaps
 
     def test_full_interval(self):
@@ -85,12 +87,12 @@ class TestSpikeControl:
         u, gaps = self.make()
         iv = dyadic_interval(1.0, 2, 1, grid)
         out = spike_control(u, gaps, iv)
-        assert np.all(out.values[:, :4] == 2) and np.all(out.values[:, 4:] == 0)
+        assert np.all(out.values[:4] == 2) and np.all(out.values[4:] == 0)
 
     def test_no_op_when_argmin_is_current(self):
         grid = TimeGrid(T=1.0, depth=3)
         u = ControlProcess.constant(1, 3, 8, 3)
-        gaps = GapProcess(np.zeros((3, 8)), np.full((3, 8), 1, dtype=np.int64))
+        gaps = GapProcess(np.zeros((8, 3)), np.full((8, 3), 1, dtype=np.int64))
         iv = dyadic_interval(1.0, 1, 1, grid)
         out = spike_control(u, gaps, iv)
         assert np.array_equal(out.values, u.values)
@@ -99,21 +101,21 @@ class TestSpikeControl:
 class TestFindDescentInterval:
     def test_uniform_gaps_first_interval(self):
         grid = TimeGrid(T=1.0, depth=4)
-        gaps = GapProcess(np.full((10, 16), -1.0), np.zeros((10, 16), dtype=np.int64))
+        gaps = GapProcess(np.full((16, 10), -1.0), np.zeros((16, 10), dtype=np.int64))
         mu_value = -1.0
         assert find_descent_interval(gaps, mu_value, 2, grid, 1.0) == 1
 
     def test_mass_in_last_interval(self):
         grid = TimeGrid(T=1.0, depth=4)
-        vals = np.zeros((10, 16))
-        vals[:, 8:] = -1.0  # all gap mass in second half
-        gaps = GapProcess(vals, np.zeros((10, 16), dtype=np.int64))
+        vals = np.zeros((16, 10))
+        vals[8:] = -1.0  # all gap mass in second half
+        gaps = GapProcess(vals, np.zeros((16, 10), dtype=np.int64))
         mu_value = -0.5
         assert find_descent_interval(gaps, mu_value, 2, grid, 1.0) == 2
 
     def test_zero_gaps(self):
         grid = TimeGrid(T=1.0, depth=4)
-        gaps = GapProcess(np.zeros((10, 16)), np.zeros((10, 16), dtype=np.int64))
+        gaps = GapProcess(np.zeros((16, 10)), np.zeros((16, 10), dtype=np.int64))
         assert find_descent_interval(gaps, 0.0, 1, grid, 1.0) == 1
 
     def test_pigeonhole_property(self):
@@ -121,16 +123,52 @@ class TestFindDescentInterval:
         rng = np.random.default_rng(0)
         grid = TimeGrid(T=1.0, depth=5)
         for _ in range(20):
-            vals = -np.abs(rng.normal(size=(8, 32)))
-            gaps = GapProcess(vals, np.zeros((8, 32), dtype=np.int64))
-            mu_value = float(vals.sum(axis=1).mean() * grid.dt)
+            vals = -np.abs(rng.normal(size=(8, 32))).T.copy()
+            gaps = GapProcess(vals, np.zeros((32, 8), dtype=np.int64))
+            mu_value = float(vals.sum(axis=0).mean() * grid.dt)
             for N in (1, 2, 3):
                 j = find_descent_interval(gaps, mu_value, N, grid, 1.0)
                 assert j is not None
                 lo, hi = dyadic_interval(1.0, N, j, grid).step_range
-                integral = float(vals[:, lo:hi].sum(axis=1).mean() * grid.dt)
+                integral = float(vals[lo:hi].sum(axis=0).mean() * grid.dt)
                 eps = 2.0 ** (-N)
                 assert integral <= 2.0 * eps * mu_value + 1e-9 * abs(mu_value)
+
+    @pytest.mark.parametrize("N", range(1, 6))
+    def test_block_sums_match_plain_python(self, N):
+        # random non-positive gaps on M = 300 paths: for a threshold below
+        # every interval integral, between each two and above all, the first
+        # interval at or below it is found, as by a plain-Python sum
+        grid = TimeGrid(T=1.0, depth=5)
+        M = 300
+        vals = -np.abs(np.random.default_rng(N).normal(size=(grid.steps, M)))
+        gaps = GapProcess(vals, np.zeros(vals.shape, dtype=np.int64))
+        width = grid.steps >> (N - 1)
+        ref = [
+            math.fsum(vals[lo : lo + width].ravel().tolist()) / M * grid.dt
+            for lo in range(0, grid.steps, width)
+        ]
+        levels = sorted(ref)
+        cuts = [levels[0] - 1.0, levels[-1] + 1.0]
+        cuts += [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        for cut in cuts:
+            expected = next((j + 1 for j, r in enumerate(ref) if r <= cut), None)
+            # mu chosen so that the threshold 2 eps_N mu / T is the cut
+            assert find_descent_interval(gaps, cut * 2.0 ** (N - 1), N, grid, 1.0) == expected
+
+    @pytest.mark.parametrize("c, T", [(1 / 3, 1.0), (0.3, 3.0)])
+    def test_uniform_gaps_need_the_slack(self, c, T, monkeypatch):
+        # every interval integral equals the threshold 2 eps_N mu / T in real
+        # arithmetic; rounded, it misses by a few ulps at some level, and
+        # _INTERVAL_SLACK absorbs that
+        grid = TimeGrid(T=T, depth=5)
+        shape = (grid.steps, 300)
+        gaps = GapProcess(np.full(shape, -c), np.zeros(shape, dtype=np.int64))
+        mu_value = mu(gaps, grid)
+        levels = range(1, grid.depth + 1)
+        assert [find_descent_interval(gaps, mu_value, N, grid, T) for N in levels] == [1] * 5
+        monkeypatch.setattr(msa_module, "_INTERVAL_SLACK", 0.0)
+        assert None in [find_descent_interval(gaps, mu_value, N, grid, T) for N in levels]
 
 
 class TestMsaStep:
@@ -139,7 +177,7 @@ class TestMsaStep:
         grid = TimeGrid(T=1.0, depth=3)
         W = generate_brownian(grid, 50, 1, 0)
         u = ControlProcess.constant(0, 50, grid.steps, spec.domain.size)
-        gaps = GapProcess(np.zeros((50, 8)), np.zeros((50, 8), dtype=np.int64))
+        gaps = GapProcess(np.zeros((8, 50)), np.zeros((8, 50), dtype=np.int64))
         state = SolverState(m=0, u=u, X=None, gaps=gaps, J=1.0, mu=0.0)
         out = msa_step(spec, grid, W, state, MSAConfig(M=50, depth=3, N_max=3))
         assert out.kind == "converged"
@@ -153,7 +191,7 @@ class TestMsaStep:
         X = simulate_state(spec, grid, W, u)
         J = evaluate_cost(spec, grid, X, u)
         gaps = GapProcess(
-            np.full((50, 8), -1.0), np.zeros((50, 8), dtype=np.int64)
+            np.full((8, 50), -1.0), np.zeros((8, 50), dtype=np.int64)
         )  # argmin = current control: spikes are no-ops
         state = SolverState(m=0, u=u, X=X, gaps=gaps, J=J, mu=-1.0)
         out = msa_step(spec, grid, W, state, MSAConfig(M=50, depth=3, N_max=3))
@@ -168,17 +206,17 @@ class TestMsaStep:
         u = ControlProcess.constant(10, 200, grid.steps, spec.domain.size)
         X = simulate_state(spec, grid, W, u)
         J = evaluate_cost(spec, grid, X, u)
-        argmins = np.zeros((200, 8), dtype=np.int64)
-        argmins[:, :4] = 4
-        argmins[:, 4:] = 20
-        gaps = GapProcess(np.full((200, 8), -1e-3), argmins)
+        argmins = np.zeros((8, 200), dtype=np.int64)
+        argmins[:4] = 4
+        argmins[4:] = 20
+        gaps = GapProcess(np.full((8, 200), -1e-3), argmins)
         state = SolverState(m=0, u=u, X=X, gaps=gaps, J=J, mu=mu(gaps, grid))
         out = msa_step(spec, grid, W, state, MSAConfig(M=200, depth=3, N_max=3))
         assert out.kind == "accepted"
         assert (out.record.N, out.record.j) == (2, 1)
         # the outcome carries the accepted control's own states and cost
         cand, X_cand, J_cand = out.candidate
-        assert np.all(cand.values[:, :4] == 4) and np.all(cand.values[:, 4:] == 10)
+        assert np.all(cand.values[:4] == 4) and np.all(cand.values[4:] == 10)
         assert np.array_equal(X_cand.states, simulate_state(spec, grid, W, cand).states)
         assert J_cand == evaluate_cost(spec, grid, X_cand, cand)
 
@@ -300,15 +338,25 @@ class TestRunMsa:
         grid = TimeGrid(T=1.0, depth=3)
         W = generate_brownian(grid, config.M, 1, config.seed)
         u = ControlProcess.constant(0, config.M, grid.steps, 3)
-        x = simulate_state(spec, grid, W, u).states[:, :-1, 0]
+        x = simulate_state(spec, grid, W, u).states[:-1, :, 0]
         # the sweep runs backward, so the last step with a state above the
         # threshold fails first, at its first such path
-        step = max(i for i in range(grid.steps) if np.any(x[:, i] > thr))
-        path = int(np.argmax(x[:, step] > thr))
+        step = max(i for i in range(grid.steps) if np.any(x[i] > thr))
+        path = int(np.argmax(x[step] > thr))
         with pytest.raises(
             SimulationError, match=rf"^non-finite {stage} at step {step}, path {path}$"
         ):
             run_msa(spec, config)
+
+    def test_nonfinite_candidate_cost_raises(self):
+        # a NaN candidate cost fails the descent test like any costlier
+        # candidate would; it must stop the run instead of moving to level 2
+        spec, config = nan_at_level_one_candidate()
+        with pytest.raises(
+            SimulationError,
+            match=r"^non-finite candidate cost at iteration 0, level 1, interval 1$",
+        ):
+            run_msa(spec, config, "first-point")
 
     def test_coupled_2d_end_to_end(self):
         # n = d = k = 2 through the whole solver: every einsum of the sweep

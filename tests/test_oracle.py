@@ -212,8 +212,8 @@ class TestVariationalSimulate:
         W = generate_brownian(grid, M, 1, 0)
         u = ControlProcess.constant(3, M, grid.steps, spec.domain.size)
         gaps = GapProcess(
-            np.zeros((M, grid.steps)),
-            np.full((M, grid.steps), 3, dtype=np.int64),
+            np.zeros((grid.steps, M)),
+            np.full((grid.steps, M), 3, dtype=np.int64),
         )
         X = simulate_state(spec, grid, W, u)
         ens, e = variational_simulate(spec, grid, W, X, gaps, (4, 8))
@@ -229,17 +229,17 @@ class TestVariationalSimulate:
         W = generate_brownian(grid, M, 1, 1)
         u = ControlProcess.constant(1, M, grid.steps, 3)
         gaps = GapProcess(
-            np.zeros((M, grid.steps)),
-            np.full((M, grid.steps), 2, dtype=np.int64),
+            np.zeros((grid.steps, M)),
+            np.full((grid.steps, M), 2, dtype=np.int64),
         )
         lo, hi = 4, 8
         X = simulate_state(spec, grid, W, u)
         ens, e = variational_simulate(spec, grid, W, X, gaps, (lo, hi))
         inc = W.increments[:, :, 0]
-        expect = np.zeros((M, grid.steps + 1))
-        run = np.cumsum(inc[:, lo:hi], axis=1)
-        expect[:, lo + 1 : hi + 1] = run
-        expect[:, hi + 1 :] = run[:, -1:]
+        expect = np.zeros((grid.steps + 1, M))
+        run = np.cumsum(inc[lo:hi], axis=0)
+        expect[lo + 1 : hi + 1] = run
+        expect[hi + 1 :] = run[-1:]
         np.testing.assert_allclose(ens.X1[:, :, 0], expect, atol=1e-14)
 
     def test_missing_second_derivatives_rejected(self):
@@ -255,7 +255,7 @@ class TestVariationalSimulate:
         grid = TimeGrid(T=1.0, depth=3)
         W = generate_brownian(grid, 5, 1, 0)
         u = ControlProcess.constant(0, 5, grid.steps, bad.domain.size)
-        gaps = GapProcess(np.zeros((5, 8)), np.zeros((5, 8), dtype=np.int64))
+        gaps = GapProcess(np.zeros((8, 5)), np.zeros((8, 5), dtype=np.int64))
         with pytest.raises(ValueError, match="b_xx"):
             variational_simulate(bad, grid, W, simulate_state(bad, grid, W, u), gaps, (0, 4))
 

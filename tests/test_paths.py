@@ -63,7 +63,7 @@ class TestGenerateBrownian:
         grid = TimeGrid(T=1.0, depth=3)
         a = generate_brownian(grid, 3, 1, 5)
         b = generate_brownian(grid, 6, 1, 5)
-        assert np.array_equal(a.increments, b.increments[:3])
+        assert np.array_equal(a.increments, b.increments[:, :3])
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 5])
@@ -72,12 +72,12 @@ class TestGenerateBrownian:
         grid = TimeGrid(T=1.0, depth=3)
         M = _BROWNIAN_BLOCK + 1
         W = generate_brownian(grid, M, d, seed)
-        assert W.increments.shape == (M, grid.steps, d)
+        assert W.increments.shape == (grid.steps, M, d)
         for p in range(M):
             key = np.array([seed & 0xFFFFFFFFFFFFFFFF, p], dtype=np.uint64)
             gen = np.random.Generator(np.random.Philox(key=key))
             ref = gen.standard_normal((grid.steps, d)) * np.sqrt(grid.dt)
-            assert np.array_equal(W.increments[p], ref), p
+            assert np.array_equal(W.increments[:, p], ref), p
 
 
 class TestSimulateState:
@@ -94,8 +94,8 @@ class TestSimulateState:
         W = generate_brownian(grid, 8, 1, 1)
         u = ControlProcess.constant(0, 8, grid.steps, 3)
         X = simulate_state(spec, grid, W, u)
-        walk = 0.5 + np.cumsum(W.increments[:, :, 0], axis=1)
-        np.testing.assert_allclose(X.states[:, 1:, 0], walk, rtol=0, atol=1e-14)
+        walk = 0.5 + np.cumsum(W.increments[:, :, 0], axis=0)
+        np.testing.assert_allclose(X.states[1:, :, 0], walk, rtol=0, atol=1e-14)
 
     def test_deterministic_growth(self):
         spec = scalar_spec(b=lambda t, x, u: x, x0=1.0)
@@ -104,7 +104,7 @@ class TestSimulateState:
         u = ControlProcess.constant(0, 3, grid.steps, 3)
         X = simulate_state(spec, grid, W, u)
         expected = (1.0 + grid.dt) ** grid.steps
-        assert X.states[:, -1, 0] == pytest.approx(expected, rel=1e-12)
+        assert X.states[-1, :, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_nonfinite_names_path_and_step(self):
         spec = scalar_spec(b=lambda t, x, u: 1e5 * x**3, x0=1.0)
@@ -128,10 +128,10 @@ class TestSimulateState:
         def unit(t, x, u):
             return np.ones_like(x)
 
-        free = simulate_state(scalar_spec(sigma=unit), grid, W, u).states[:, :-1, 0]
+        free = simulate_state(scalar_spec(sigma=unit), grid, W, u).states[:-1, :, 0]
         hit = free > thr
-        path = int(np.argmax(hit.any(axis=1)))
-        step = int(np.argmax(hit[path])) + 1
+        path = int(np.argmax(hit.any(axis=0)))
+        step = int(np.argmax(hit[:, path])) + 1
         spec = scalar_spec(sigma=unit, b=lambda t, x, u: np.where(x > thr, value, 0.0))
         with np.errstate(invalid="ignore"), pytest.raises(
             SimulationError, match=rf"^non-finite state at path {path}, step {step}$"
@@ -139,12 +139,12 @@ class TestSimulateState:
             simulate_state(spec, grid, W, u)
 
     def test_step_slices_contiguous(self, zero_spec):
-        # time-major storage behind the path-major shapes
+        # time-major storage and shapes
         grid = TimeGrid(T=1.0, depth=3)
         W = generate_brownian(grid, 5, 1, 0)
         X = simulate_state(zero_spec, grid, W, ControlProcess.constant(0, 5, grid.steps, 3))
-        assert X.states.shape == (5, grid.steps + 1, 1)
-        assert X.states[:, 3].flags.c_contiguous and W.increments[:, 3].flags.c_contiguous
+        assert X.states.shape == (grid.steps + 1, 5, 1)
+        assert X.states[3].flags.c_contiguous and W.increments[3].flags.c_contiguous
 
     def test_spike_locality(self):
         spec = get_problem("nonconvex-diffusion")
@@ -152,12 +152,12 @@ class TestSimulateState:
         W = generate_brownian(grid, 6, 1, 4)
         u = ControlProcess.constant(0, 6, grid.steps, 2)
         vals = u.values.copy()
-        vals[:, 8:16] = 1
+        vals[8:16] = 1
         up = ControlProcess(vals, 2)
         Xa = simulate_state(spec, grid, W, u)
         Xb = simulate_state(spec, grid, W, up)
-        assert np.array_equal(Xa.states[:, : 8 + 1], Xb.states[:, : 8 + 1])
-        assert not np.array_equal(Xa.states[:, -1], Xb.states[:, -1])
+        assert np.array_equal(Xa.states[: 8 + 1], Xb.states[: 8 + 1])
+        assert not np.array_equal(Xa.states[-1], Xb.states[-1])
 
 
 class TestPathSplit:
@@ -169,7 +169,7 @@ class TestPathSplit:
         grid = TimeGrid(T=1.0, depth=depth)
         W = generate_brownian(grid, self.M, 1, 3)
         rng = np.random.default_rng(0)
-        values = rng.integers(0, spec.domain.size, (self.M, grid.steps))
+        values = rng.integers(0, spec.domain.size, (self.M, grid.steps)).T.copy()
         return grid, W, ControlProcess(values, spec.domain.size)
 
     def test_states_equal_for_any_worker_count(self, path_split):
@@ -189,9 +189,9 @@ class TestPathSplit:
         spec = scalar_spec(b=lambda t, x, u: np.where(u > 0.5, np.nan, 0.0))
         grid = TimeGrid(T=1.0, depth=4)
         W = generate_brownian(grid, self.M, 1, 3)
-        values = np.zeros((self.M, grid.steps), dtype=np.int64)
-        values[200:, 4:] = 2
-        values[250:, 2:] = 2
+        values = np.zeros((grid.steps, self.M), dtype=np.int64)
+        values[4:, 200:] = 2
+        values[2:, 250:] = 2
         u = ControlProcess(values, 3)
         for workers in self.RANGES:
             path_split(cpus=workers, per_worker=100)
@@ -210,7 +210,7 @@ class TestPathSplit:
         spec = scalar_spec(b=b)
         grid = TimeGrid(T=1.0, depth=3)
         W = generate_brownian(grid, self.M, 1, 3)
-        values = np.zeros((self.M, grid.steps), dtype=np.int64)
+        values = np.zeros((grid.steps, self.M), dtype=np.int64)
         values[-1, -1] = 2  # only the last range's last step raises
         for workers in self.RANGES:
             record = path_split(cpus=workers, per_worker=100)
@@ -223,7 +223,7 @@ class TestPathSplit:
         spec = scalar_spec(b=lambda t, x, u: np.where(u > 0.5, 1e308, 0.0) * 10.0)
         grid = TimeGrid(T=1.0, depth=3)
         W = generate_brownian(grid, self.M, 1, 3)
-        values = np.zeros((self.M, grid.steps), dtype=np.int64)
+        values = np.zeros((grid.steps, self.M), dtype=np.int64)
         values[-1, -1] = 2
         for workers in self.RANGES:
             path_split(cpus=workers, per_worker=100)
@@ -346,7 +346,7 @@ class TestEulerWeakError:
             W = generate_brownian(grid, 2, 1, 0)
             u = ControlProcess.constant(0, 2, grid.steps, 3)
             X = simulate_state(spec, grid, W, u)
-            errs.append(abs(X.states[0, -1, 0] - np.exp(-0.5)))
+            errs.append(abs(X.states[-1, 0, 0] - np.exp(-0.5)))
             dts.append(grid.dt)
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.3
@@ -370,7 +370,7 @@ class TestBinaryRoundTrip:
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "c.bin"
-        dump_array(path, np.zeros((3, 5, 2)), 9)
+        dump_array(path, np.zeros((5, 3, 2)), 9)
         raw = path.read_bytes()
         import struct
 
@@ -386,7 +386,7 @@ class TestBinaryRoundTrip:
         path = tmp_path / "x.bin"
         dump_array(path, X.states, 2)
         raw = path.read_bytes()
-        rows = [X.states[p, i, 0] for p in range(4) for i in range(grid.steps + 1)]
+        rows = [X.states[i, p, 0] for p in range(4) for i in range(grid.steps + 1)]
         assert raw[32:] == np.array(rows).tobytes()
         back, _ = load_array(path)
         assert np.array_equal(back, X.states)
@@ -400,15 +400,15 @@ class TestControlProcess:
     def test_deterministic_rows_identical(self):
         row = np.array([0, 1, 2, 1])
         u = ControlProcess.deterministic(row, 5, 3)
-        assert u.values.shape == (5, 4)
-        assert np.all(u.values == row[None, :])
+        assert u.values.shape == (4, 5)
+        assert np.all(u.values == row[:, None])
 
     def test_constant_is_read_only_and_spike_copies(self):
         u = ControlProcess.constant(1, 4, 8, 3)
-        assert u.values.shape == (4, 8) and not u.values.flags.writeable
-        gaps = GapProcess(np.zeros((4, 8)), np.full((4, 8), 2, dtype=np.int64))
+        assert u.values.shape == (8, 4) and not u.values.flags.writeable
+        gaps = GapProcess(np.zeros((8, 4)), np.full((8, 4), 2, dtype=np.int64))
         grid = TimeGrid(T=1.0, depth=3)
         spiked = spike_control(u, gaps, dyadic_interval(1.0, 2, 2, grid))
         assert spiked.values.flags.writeable
         assert np.all(u.values == 1)
-        assert np.all(spiked.values[:, :4] == 1) and np.all(spiked.values[:, 4:] == 2)
+        assert np.all(spiked.values[:4] == 1) and np.all(spiked.values[4:] == 2)
