@@ -155,12 +155,12 @@ def adjoint_sweep(
         p = phat + dt * (
             np.einsum("bjl,bj->bl", b_x, phat) + np.einsum("bjli,bji->bl", sigma_x, q) + f_x
         )
+        bP = np.einsum("bjl,bjm->blm", b_x, Phat)  # P b_x is its exact transpose
+        sQ = np.einsum("bjli,bjmi->blm", sigma_x, Qhat)  # and Q sigma_x of this
         driver = (
-            np.einsum("bjl,bjm->blm", b_x, Phat)
-            + np.einsum("bjl,bjm->blm", Phat, b_x)
+            bP + bP.transpose(0, 2, 1)
             + np.einsum("bjli,bjk,bkmi->blm", sigma_x, Phat, sigma_x)
-            + np.einsum("bjli,bjmi->blm", sigma_x, Qhat)
-            + np.einsum("bjli,bjmi->blm", Qhat, sigma_x)
+            + sQ + sQ.transpose(0, 2, 1)
             + hessian_of_H(spec, t, xi, p, q, ui)
         )
         Pi = Phat + dt * driver

@@ -24,6 +24,7 @@ from .adjoint import RegressionRankError
 from .model import ControlDomain, LQSpec, ProblemSpec, lq_embed
 from .msa import MSAConfig, records_to_csv, records_to_json, run_msa
 from .oracle import (
+    _LATTICE_NODES,
     rate_experiment,
     remainder_experiment,
     sequence_lemma_check,
@@ -178,8 +179,8 @@ def _resolve(cfg, command: str, seed):
         if config.M <= features:
             raise ConfigError(f"M={config.M} must exceed the {features} regression features")
         # validate remainder's conditional estimator also keeps seven (2^G, nx)
-        # float arrays on its PDE lattice, nx = 2001
-        lattice = 7 * 2001 if command == "remainder" else 0
+        # float arrays on its PDE lattice of nx = _LATTICE_NODES
+        lattice = 7 * _LATTICE_NODES if command == "remainder" else 0
         bits = math.log2((config.M * (s.n + s.d) + lattice) * 8) + config.depth
         if bits > math.log2(_MAX_PATH_BYTES):
             formula = f"(M*(n+d) + {lattice} lattice)*2^G*8" if lattice else "M*2^G*(n+d)*8"

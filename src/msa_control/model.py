@@ -21,7 +21,7 @@ bit-identical results, and concurrent evaluation is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,6 @@ class ControlDomain:
     """Finite grid of admissible control points in R^k."""
 
     points: Array  # (V, k)
-    alpha: float = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -49,7 +48,6 @@ class ControlDomain:
         if len(np.unique(pts, axis=0)) != len(pts):
             raise ValueError("control domain contains duplicate points")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "alpha", float(np.linalg.norm(pts, axis=1).max()))
 
     @property
     def size(self) -> int:

@@ -9,6 +9,9 @@ a spike interval whose candidate control passes the descent acceptance test
 evaluated exactly on the frozen ensemble.  The level search restarts at
 N = 1 each iteration.  The accepted candidate's simulated states and cost
 carry over to the next iteration.
+
+The order experiments in ``oracle`` share the solver's ``_start`` (the
+ensemble from a config, the simulated start control) and ``prepare_state``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -69,10 +72,10 @@ def dyadic_interval(T: float, N: int, j: int, grid: TimeGrid) -> DyadicInterval:
 
 
 def spike_control(
-    u: ControlProcess, gaps: GapProcess, interval: Union[DyadicInterval, Tuple[int, int]]
+    u: ControlProcess, gaps: GapProcess, step_range: Tuple[int, int]
 ) -> ControlProcess:
-    """Replace u by the pathwise H-minimizer on the interval or [lo, hi) steps."""
-    lo, hi = interval.step_range if isinstance(interval, DyadicInterval) else interval
+    """Replace u by the pathwise H-minimizer on the grid steps [lo, hi)."""
+    lo, hi = step_range
     steps = u.values.shape[0]
     if not (0 <= lo < hi <= steps):
         raise ValueError(f"interval steps [{lo}, {hi}) misaligned with grid of {steps} steps")
@@ -149,6 +152,11 @@ class SolverState:
     mu: float
 
 
+def _require_finite(stage: str, value: float, m: int) -> None:
+    if not np.isfinite(value):
+        raise SimulationError(f"non-finite {stage} {value!r} at iteration {m}")
+
+
 def prepare_state(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -160,21 +168,11 @@ def prepare_state(
     m: int = 0,
 ) -> SolverState:
     """Evaluate the gap process and mu for a control already simulated (X)
-    and costed (J) on the frozen ensemble, in one backward adjoint sweep."""
-    gaps = gap_process(spec, grid, X, u, adjoint_sweep(spec, grid, X, u, basis, W))
-    return SolverState(m=m, u=u, X=X, gaps=gaps, J=J, mu=mu(gaps, grid))
-
-
-def _require_finite(stage: str, value: float, m: int) -> None:
-    if not np.isfinite(value):
-        raise SimulationError(f"non-finite {stage} {value!r} at iteration {m}")
-
-
-def _prepare_finite(spec, grid, W, u, X, J, basis, m=0) -> SolverState:
-    """prepare_state that stops on a non-finite cost (before the adjoint
-    sweep) or mu instead of iterating on NaN."""
+    and costed (J) on the frozen ensemble, in one backward adjoint sweep;
+    a non-finite J (checked first) or mu raises SimulationError."""
     _require_finite("cost", J, m)
-    state = prepare_state(spec, grid, W, u, X, J, basis, m)
+    gaps = gap_process(spec, grid, X, u, adjoint_sweep(spec, grid, X, u, basis, W))
+    state = SolverState(m=m, u=u, X=X, gaps=gaps, J=J, mu=mu(gaps, grid))
     _require_finite("mu", state.mu, m)
     return state
 
@@ -202,7 +200,7 @@ def msa_step(
         if j is None:
             continue
         interval = dyadic_interval(spec.T, N, j, grid)
-        cand = spike_control(state.u, state.gaps, interval)
+        cand = spike_control(state.u, state.gaps, interval.step_range)
         X_cand = simulate_state(spec, grid, W, cand)
         J_cand = evaluate_cost(spec, grid, X_cand, cand)
         if not np.isfinite(J_cand):
@@ -242,17 +240,17 @@ def _initial_control(
     W: BrownianEnsemble,
     u0: Union[ControlProcess, str, int, None],
 ) -> ControlProcess:
-    M, steps = W.M, W.steps
-    V = spec.domain.size
+    """u0 if a ControlProcess, else the constant control at domain index u0
+    (int or numpy integer), at 0 ("first-point", None) or "worst-constant"."""
     if isinstance(u0, ControlProcess):
         return u0
     if u0 is None or u0 == "first-point":
-        return ControlProcess.constant(0, M, steps, V)
-    if isinstance(u0, int):
-        return ControlProcess.constant(u0, M, steps, V)
-    if u0 == "worst-constant":
-        return ControlProcess.constant(_worst_constant(spec, grid, W), M, steps, V)
-    raise ValueError(f"unknown initializer {u0!r}")
+        u0 = 0
+    elif u0 == "worst-constant":
+        u0 = _worst_constant(spec, grid, W)
+    elif not isinstance(u0, (int, np.integer)):
+        raise ValueError(f"unknown initializer {u0!r}")
+    return ControlProcess.constant(u0, W.M, W.steps, spec.domain.size)
 
 
 def _worst_constant(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble) -> int:
@@ -281,6 +279,16 @@ def _worst_constant(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble) -> i
     return int(np.argmax(cost.reshape(V, M).sum(axis=1) / M))
 
 
+def _start(spec, config, u0, W=None):
+    """(grid, W, u, X): the grid of config.depth, W drawn from config.seed
+    unless given, u0 resolved by _initial_control and its simulated states."""
+    grid = TimeGrid(T=spec.T, depth=config.depth)
+    if W is None:
+        W = generate_brownian(grid, config.M, spec.d, config.seed)
+    u = _initial_control(spec, grid, W, u0)
+    return grid, W, u, simulate_state(spec, grid, W, u)
+
+
 def run_msa(
     spec: ProblemSpec,
     config: MSAConfig,
@@ -288,13 +296,8 @@ def run_msa(
     W: Optional[BrownianEnsemble] = None,
 ) -> MSARun:
     """Iterate msa_step to termination on a frozen Brownian ensemble."""
-    grid = TimeGrid(T=spec.T, depth=config.depth)
-    if W is None:
-        W = generate_brownian(grid, config.M, spec.d, config.seed)
-    basis = config.basis
-    u = _initial_control(spec, grid, W, u0)
-    X = simulate_state(spec, grid, W, u)
-    state = _prepare_finite(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), basis)
+    grid, W, u, X = _start(spec, config, u0, W)
+    state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), config.basis)
     J0, mu0 = state.J, state.mu
     records: list = []
     termination = "budget"
@@ -304,7 +307,7 @@ def run_msa(
             termination = outcome.kind
             break
         records.append(outcome.record)
-        state = _prepare_finite(spec, grid, W, *outcome.candidate, basis, m=state.m + 1)
+        state = prepare_state(spec, grid, W, *outcome.candidate, config.basis, m=state.m + 1)
     # terminal row: final J and mu, re-checkable against the last accepted row
     records.append(
         IterationRecord(
@@ -324,18 +327,18 @@ def run_msa(
     )
 
 
-CSV_HEADER = ["m", "J", "mu", "N", "j", "accepted", "wall_time"]
+# The log's columns are IterationRecord's fields; parsers keyed by type name
+_FIELDS = fields(IterationRecord)
+_PARSE = {"int": int, "float": float, "bool": lambda s: bool(int(s))}
+CSV_HEADER = [f.name for f in _FIELDS]
 
 
 def records_to_csv(records) -> str:
-    """Serialize iteration records; floats at full precision for re-checking."""
+    """Serialize iteration records; floats at full precision (repr), bools as 0/1."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    for r in records:
-        w.writerow(
-            [r.m, repr(r.J), repr(r.mu), r.N, r.j, int(r.accepted), repr(r.wall_time)]
-        )
+    w.writerows([int(v) if isinstance(v, bool) else v for v in astuple(r)] for r in records)
     return buf.getvalue()
 
 
@@ -344,25 +347,13 @@ def records_from_csv(text: str):
     if rows[:1] != [CSV_HEADER]:
         raise ValueError(f"iterations CSV header {next(iter(rows), [])} is not {CSV_HEADER}")
     return [
-        IterationRecord(
-            m=int(m), J=float(J), mu=float(mu_), N=int(N), j=int(j),
-            accepted=bool(int(acc)), wall_time=float(wt),
-        )
-        for m, J, mu_, N, j, acc, wt in rows[1:]
+        IterationRecord(*(_PARSE[f.type](v) for f, v in zip(_FIELDS, row, strict=True)))
+        for row in rows[1:]
     ]
 
 
 def records_to_json(records) -> str:
-    return json.dumps(
-        [
-            {
-                "m": r.m, "J": r.J, "mu": r.mu, "N": r.N, "j": r.j,
-                "accepted": r.accepted, "wall_time": r.wall_time,
-            }
-            for r in records
-        ],
-        indent=2,
-    )
+    return json.dumps([asdict(r) for r in records], indent=2)
 
 
 def check_descent_log(records, T: float) -> bool:

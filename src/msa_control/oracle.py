@@ -5,6 +5,9 @@ adjoint solvers and the solver's convergence behaviour.  The experiments
 check the orders the theory predicts: the spike-variation cost remainder
 (eps^{3/2}), the variational-equation defect (eps^3 in squared L2) and the
 m^{-1/2} sequence bound.
+
+The experiments run on the solver's ensemble and checked ``prepare_state``
+(via ``run_msa`` or ``msa._start``): a non-finite cost raises SimulationError.
 """
 
 from __future__ import annotations
@@ -17,21 +20,23 @@ import numpy as np
 from .adjoint import AdjointFirst, AdjointSecond
 from .hamiltonian import GapProcess
 from .model import LQSpec, ProblemSpec, lq_embed
-from .msa import DyadicInterval, MSAConfig, MSARun, prepare_state, run_msa, spike_control
+from .msa import MSAConfig, MSARun, _start, prepare_state, run_msa, spike_control
 from .paths import (
     BrownianEnsemble,
     ControlProcess,
+    SimulationError,
     StateEnsemble,
     TimeGrid,
     _check_provenance,
     _split_paths,
     evaluate_cost,
-    generate_brownian,
     pathwise_cost,
     simulate_state,
 )
 
 Array = np.ndarray
+
+_LATTICE_NODES = 2001  # x-nodes of the remainder's PDE lattice
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +171,14 @@ def rate_experiment(
     analytic value.  Rows are indexed 1-based from the initial control.
     """
     spec = lq_embed(benchmark)
-    grid = TimeGrid(T=benchmark.T, depth=config.depth)
-    W = generate_brownian(grid, config.M, benchmark.d, config.seed)
+    run = run_msa(spec, config, u0)
+    grid, W = run.grid, run.ensemble
     oracle = build_oracle(benchmark, grid)
     u_star = ControlProcess.deterministic(oracle.u_star, config.M, benchmark.domain.size)
     X_star = simulate_state(spec, grid, W, u_star)
     pc_star = pathwise_cost(spec, grid, X_star, u_star)
     J_star_saa = float(np.sum(pc_star) / config.M)
 
-    run = run_msa(spec, config, u0, W=W)
     # noise floor for the log-log fit: MC standard error of a CRN difference
     X_fin = simulate_state(spec, grid, W, run.final_control)
     diff = pathwise_cost(spec, grid, X_fin, run.final_control) - pc_star
@@ -284,7 +288,6 @@ def _scalar_value_fields(
     vxx[:, -1] = vxx[:, -2]
 
     S = np.full((steps, nx), np.inf)
-    sel = np.zeros((steps, nx), dtype=np.int64)
     b_sel = np.empty((steps, nx))
     s2_sel = np.empty((steps, nx))
     for i in range(steps):
@@ -295,7 +298,6 @@ def _scalar_value_fields(
             S_c = (b_c - b_u) * vx[i] + (f_c - f_u) + 0.5 * (s2_c - s2_u) * vxx[i]
             better = S_c < S[i]  # strict: ties keep the smaller index
             S[i] = np.where(better, S_c, S[i])
-            sel[i] = np.where(better, ci, sel[i])
             b_sel[i] = np.where(better, b_c, b_sel[i])
             s2_sel[i] = np.where(better, s2_c, s2_sel[i])
     return _ScalarValueFields(xs=xs, S=S, b_sel=b_sel, s2_sel=s2_sel)
@@ -326,19 +328,18 @@ def _interval_steps(tau: float, eps: float, grid: TimeGrid) -> Tuple[int, int]:
 def _direct_remainder(spec, u, tau, eps_list, config):
     """Plain CRN estimator of R(eps): simulate the spiked control and subtract
     the regression-adjoint gap integral.  Works for any spec; noisy."""
-    grid = TimeGrid(T=spec.T, depth=config.depth)
-    W = generate_brownian(grid, config.M, spec.d, config.seed)
-    X = simulate_state(spec, grid, W, u)
+    grid, W, u, X = _start(spec, config, u)
     pc_base = pathwise_cost(spec, grid, X, u)
     state = prepare_state(spec, grid, W, u, X, float(np.mean(pc_base)), config.basis)
     rows, ses = [], []
     for eps in eps_list:
         lo, hi = _interval_steps(tau, eps, grid)
         cand = spike_control(u, state.gaps, (lo, hi))
-        X_cand = simulate_state(spec, grid, W, cand)
-        diff = pathwise_cost(spec, grid, X_cand, cand) - pc_base
+        pc_cand = pathwise_cost(spec, grid, simulate_state(spec, grid, W, cand), cand)
+        if not np.isfinite(np.sum(pc_cand)):
+            raise SimulationError(f"non-finite candidate cost at eps {eps!r}")
         gap_path = state.gaps.values[lo:hi].sum(axis=0) * grid.dt
-        r = diff - gap_path
+        r = pc_cand - pc_base - gap_path
         rows.append((float(eps), float(np.sum(r) / config.M)))
         ses.append(float(np.std(r) / np.sqrt(config.M)))
     return rows, ses
@@ -382,10 +383,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     base paths, so nearly all Monte Carlo noise cancels and the small-eps
     remainder is resolvable at desk-scale path counts.
     """
-    grid = TimeGrid(T=spec.T, depth=config.depth)
-    W = generate_brownian(grid, config.M, spec.d, config.seed)
-    u = ControlProcess.constant(u_index, config.M, grid.steps, spec.domain.size)
-    X = simulate_state(spec, grid, W, u)
+    grid, _, _, X = _start(spec, config, u_index)
     fields = _scalar_value_fields(spec, grid, X, u_index, nx)
     xs, S = fields.xs, fields.S
     dx = xs[1] - xs[0]
@@ -422,7 +420,7 @@ def remainder_experiment(
     tau: float,
     eps_list: Sequence[float],
     config: MSAConfig,
-    nx: int = 2001,
+    nx: int = _LATTICE_NODES,
 ) -> RemainderResult:
     """Measure R(eps) = J(u_spike) - J(u) - E int_E gap dt and fit its order.
 
@@ -435,9 +433,6 @@ def remainder_experiment(
     if isinstance(u, (int, np.integer)) and spec.n == 1 and spec.d == 1:
         raw, ses = _conditional_remainder(spec, int(u), tau, eps_list, config, nx)
     else:
-        if isinstance(u, (int, np.integer)):
-            grid = TimeGrid(T=spec.T, depth=config.depth)
-            u = ControlProcess.constant(int(u), config.M, grid.steps, spec.domain.size)
         raw, ses = _direct_remainder(spec, u, tau, eps_list, config)
     rows = [(e, R, abs(R) < 10.0 * se) for (e, R), se in zip(raw, ses)]
 
@@ -462,19 +457,19 @@ def variational_simulate(
     W: BrownianEnsemble,
     X: StateEnsemble,
     gaps: GapProcess,
-    interval: Union[DyadicInterval, Tuple[int, int]],
+    step_range: Tuple[int, int],
 ):
     """Euler-integrate the two variational SDEs and the spike-expansion defect.
 
     X is the base control's simulated ensemble; the base control is its
-    ``control_values``.  Returns (VariationalEnsemble, e) with
-    e = mean over paths of sup_i |X_spike - X - X1 - X2|^2.
+    ``control_values``, spiked on the steps [lo, hi).  Returns
+    (VariationalEnsemble, e) with e = mean over paths of sup_i |X_spike - X - X1 - X2|^2.
     """
     c = spec.coefficients
     for name in ("b_xx", "sigma_xx"):
         if getattr(c, name) is None:
             raise ValueError(f"second derivative {name} required for variational SDEs")
-    lo, hi = interval.step_range if isinstance(interval, DyadicInterval) else interval
+    lo, hi = step_range
     u_vals = X.control_values
     steps, M = u_vals.shape
     n = spec.n
@@ -553,11 +548,7 @@ def variational_experiment(
     config: MSAConfig,
 ) -> VariationalResult:
     """Defect order check: fit log e(eps) against log eps over dyadic eps."""
-    grid = TimeGrid(T=spec.T, depth=config.depth)
-    W = generate_brownian(grid, config.M, spec.d, config.seed)
-    if isinstance(u, (int, np.integer)):
-        u = ControlProcess.constant(int(u), config.M, grid.steps, spec.domain.size)
-    X = simulate_state(spec, grid, W, u)
+    grid, W, u, X = _start(spec, config, u)
     state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), config.basis)
     rows = []
     for eps in eps_list:

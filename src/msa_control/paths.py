@@ -145,11 +145,10 @@ class ControlProcess:
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """Euler-Maruyama state paths plus provenance identifiers."""
+    """Euler-Maruyama state paths and the control they were simulated under."""
 
     states: Array  # (steps+1, M, n)
     control_values: Array
-    ensemble_seed: int
 
 
 def _split_paths(M: int, fn) -> None:
@@ -205,7 +204,7 @@ def simulate_state(
         bad = ~np.isfinite(X).all(axis=2)
         p = int(np.argmax(bad.any(axis=0)))
         raise SimulationError(f"non-finite state at path {p}, step {np.argmax(bad[:, p])}")
-    return StateEnsemble(states=X, control_values=u.values, ensemble_seed=W.seed)
+    return StateEnsemble(states=X, control_values=u.values)
 
 
 def _check_provenance(X: StateEnsemble, u: ControlProcess) -> None:

@@ -28,9 +28,8 @@ def unit_lq(**over):
 
 
 class TestControlDomain:
-    def test_alpha_is_max_norm(self):
+    def test_size_and_dimension(self):
         dom = ControlDomain(np.array([[3.0, 4.0], [1.0, 0.0]]))
-        assert dom.alpha == 5.0
         assert dom.size == 2 and dom.k == 2
 
     def test_duplicates_rejected(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from msa_control import (
     ControlProcess,
     LQSpec,
     MSAConfig,
+    SimulationError,
     TimeGrid,
     build_oracle,
     evaluate_cost,
@@ -20,11 +23,16 @@ from msa_control import (
     remainder_experiment,
     sequence_lemma_check,
     simulate_state,
+    spike_control,
+    variational_experiment,
     variational_simulate,
 )
 from msa_control.hamiltonian import GapProcess
+from msa_control.oracle import _interval_steps
 
-from conftest import scalar_spec
+from conftest import coupled_lq2d, scalar_spec
+
+PIN_EPS = [0.25, 0.125, 0.0625]
 
 
 def make_lq(**over):
@@ -120,6 +128,17 @@ class TestRateExperiment:
             result.J_star_analytic
         )
 
+    def test_rows_pinned(self):
+        # run_msa's own ensemble is the one J* is evaluated on
+        result = rate_experiment(
+            get_lq("lq-scalar"), MSAConfig(M=500, depth=5, N_max=5, m_max=3, seed=3)
+        )
+        assert [(m, a.hex()) for m, a, _ in result.rows] == [
+            (1, "0x1.99ff7a7568ebap-2"),
+            (2, "0x1.ce46a8d2f2000p-12"),
+            (3, "0x1.6c930a9354000p-13"),
+            (4, "-0x1.39d02a9680000p-16"),
+        ]
 
     def test_csv_fields_parse_as_float(self):
         result = rate_experiment(get_lq("lq-scalar"), MSAConfig(M=300, depth=4, N_max=4))
@@ -180,6 +199,43 @@ class TestRemainderExperiment:
             assert record.pools == (0 if workers == 1 else 2)
             assert len(record.ranges) == (0 if workers == 1 else 2 * workers)
         assert results[2] == results[1] and results[3] == results[1]
+
+    def test_direct_estimator_bits_pinned(self):
+        # a ControlProcess base takes the direct CRN estimator
+        spec = get_problem("lq-scalar")
+        config = MSAConfig(M=2000, depth=6, N_max=6, seed=3)
+        V = spec.domain.size
+        u = ControlProcess.constant(V - 1, config.M, 1 << config.depth, V)
+        res = remainder_experiment(spec, u, 0.5, PIN_EPS, config)
+        assert [(e, R.hex(), c) for e, R, c in res.rows] == [
+            (0.25, "0x1.d9991dc24430ap-7", True),
+            (0.125, "0x1.74f63b68174e5p-7", True),
+            (0.0625, "0x1.3788d2e7f8052p-11", True),
+        ]
+        assert [s.hex() for s in res.standard_errors] == [
+            "0x1.442e0601897f6p-7",
+            "0x1.ce8f9fcc99540p-8",
+            "0x1.5967781b82e5ep-8",
+        ]
+
+    def test_direct_estimator_bits_pinned_coupled_2d(self):
+        # an index base on n = d = 2 takes the direct estimator too; a numpy
+        # integer index is the same base
+        spec = lq_embed(coupled_lq2d())
+        config = MSAConfig(M=2000, depth=6, N_max=6, seed=3)
+        last = spec.domain.size - 1
+        for base in (last, np.int64(last)):
+            res = remainder_experiment(spec, base, 0.5, PIN_EPS, config)
+            assert [(e, R.hex(), c) for e, R, c in res.rows] == [
+                (0.25, "0x1.e811890c88007p-8", True),
+                (0.125, "-0x1.6695194afae65p-8", True),
+                (0.0625, "-0x1.e119bb2796de2p-7", True),
+            ]
+            assert [s.hex() for s in res.standard_errors] == [
+                "0x1.168332e520af3p-6",
+                "0x1.b13baf6b7eaf3p-7",
+                "0x1.450ec7305d2b1p-7",
+            ]
 
     @pytest.mark.parametrize("lo, hi, nx", [(-3.7, 2.9, 2001), (0.1, 0.4, 7), (-1.0, 1.0, 2)])
     def test_lattice_interp_matches_np_interp(self, lo, hi, nx):
@@ -262,7 +318,7 @@ class TestVariationalSimulate:
 
 class TestVariationalExperiment:
     def test_base_control_simulated_once(self, monkeypatch):
-        from msa_control import oracle
+        from msa_control import msa, oracle
 
         calls = []
 
@@ -270,6 +326,8 @@ class TestVariationalExperiment:
             calls.append(args[3])
             return simulate_state(*args, **kwargs)
 
+        # the base is simulated by msa._start, the spiked candidates by oracle
+        monkeypatch.setattr(msa, "simulate_state", counting)
         monkeypatch.setattr(oracle, "simulate_state", counting)
         spec = get_problem("nonconvex-diffusion")
         eps_list = [spec.T * 2.0 ** (-N) for N in range(2, 5)]
@@ -284,6 +342,58 @@ class TestVariationalExperiment:
             assert len(calls) == 1 + len(eps_list)
             assert np.all(calls[0].values == last)
         assert results[0].rows == results[1].rows
+
+    def test_rows_pinned(self):
+        spec = get_problem("nonconvex-diffusion")
+        config = MSAConfig(M=500, depth=6, N_max=6, seed=3)
+        res = variational_experiment(spec, spec.domain.size - 1, 0.5, PIN_EPS, config)
+        assert [(e, v.hex()) for e, v in res.rows] == [
+            (0.25, "0x1.6174520f3c241p-8"),
+            (0.125, "0x1.1af3a53833dc3p-10"),
+            (0.0625, "0x1.5d74a65e5028ep-13"),
+        ]
+
+
+def _with_phi(spec, Phi):
+    return dataclasses.replace(spec, coefficients=dataclasses.replace(spec.coefficients, Phi=Phi))
+
+
+class TestNonfiniteCost:
+    """lq-scalar, M=300, G=6, seed 3, with the last grid point as the base:
+    the experiments stop where they would report NaN rows as results."""
+
+    config = MSAConfig(M=300, depth=6, N_max=6, seed=3)
+
+    def base(self, spec):
+        V = spec.domain.size
+        return ControlProcess.constant(V - 1, self.config.M, 1 << self.config.depth, V)
+
+    def test_base_cost_stops_both_experiments(self):
+        spec = _with_phi(get_problem("lq-scalar"), lambda x: np.full(x.shape[0], np.nan))
+        with pytest.raises(SimulationError, match="non-finite cost"):
+            remainder_experiment(spec, self.base(spec), 0.5, PIN_EPS, self.config)
+        with pytest.raises(SimulationError, match="non-finite cost"):
+            variational_experiment(spec, spec.domain.size - 1, 0.5, PIN_EPS, self.config)
+
+    def test_candidate_cost_stops_direct_estimator(self):
+        # Phi is NaN exactly at the terminal states of the first eps's
+        # spiked candidate, so the base cost stays finite
+        spec, config = get_problem("lq-scalar"), self.config
+        u = self.base(spec)
+        grid = TimeGrid(T=spec.T, depth=config.depth)
+        W = generate_brownian(grid, config.M, spec.d, config.seed)
+        X = simulate_state(spec, grid, W, u)
+        state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), config.basis)
+        cand = spike_control(u, state.gaps, _interval_steps(0.5, PIN_EPS[0], grid))
+        x_T = simulate_state(spec, grid, W, cand).states[-1]
+        Phi = spec.coefficients.Phi
+
+        def poisoned(x):
+            out = np.asarray(Phi(x))
+            return np.full_like(out, np.nan) if np.array_equal(x, x_T) else out
+
+        with pytest.raises(SimulationError, match=r"^non-finite candidate cost at eps 0.25$"):
+            remainder_experiment(_with_phi(spec, poisoned), u, 0.5, PIN_EPS, config)
 
 
 class TestSequenceLemma:
