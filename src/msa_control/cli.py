@@ -130,8 +130,8 @@ def _problem_from_config(obj) -> ProblemSpec:
 
 
 # The keys each subcommand reads, with the defaults that are not MSAConfig's
-# own (None: MSAConfig's default; N_max defaults to G, u0_index to the last
-# control point).  The config key G is MSAConfig's depth.
+# own (None: MSAConfig's default; u0_index's is the last control point).  The
+# config key G is MSAConfig's depth.
 _SOLVER_KEYS = dict.fromkeys(("M", "G", "m_max", "mu_tol", "N_max", "seed", "degree", "ridge"))
 _EXPERIMENT_KEYS = dict.fromkeys(("u0_index", "seed", "degree", "ridge"))
 _KEYS = {
@@ -162,7 +162,6 @@ def _resolve(cfg, command: str, seed):
     }
     if seed is not None:
         fields["seed"] = seed
-    fields.setdefault("N_max", fields.get("depth", MSAConfig.depth))
     try:
         config = MSAConfig(**fields)
     except ValueError as exc:
@@ -205,8 +204,9 @@ def _resolve(cfg, command: str, seed):
     return spec, config, u0
 
 
-def _write(out: Path, name: str, text: str) -> None:
-    (out / name).write_text(text)
+def _slope(value: float):
+    """A fitted slope for JSON: null where the fit is undefined (NaN)."""
+    return None if math.isnan(value) else value
 
 
 def cmd_solve(args) -> int:
@@ -215,8 +215,8 @@ def cmd_solve(args) -> int:
     run = run_msa(spec, config, u0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out, "iterations.csv", records_to_csv(run.records))
-    _write(out, "iterations.json", records_to_json(run.records))
+    (out / "iterations.csv").write_text(records_to_csv(run.records))
+    (out / "iterations.json").write_text(records_to_json(run.records))
     dump_array(out / "final_control.bin", run.final_control.values.astype(float), config.seed)
     summary = {
         "J_final": run.J_final,
@@ -227,7 +227,7 @@ def cmd_solve(args) -> int:
         "iterations": sum(1 for r in run.records if r.accepted),
         "metadata": {"timestamp": time.time(), "wall_time_total": time.time() - t0},
     }
-    _write(out, "summary.json", json.dumps(summary, indent=2))
+    (out / "summary.json").write_text(json.dumps(summary, indent=2))
     log.info("solve finished: %s after %d accepted iterations", run.termination, summary["iterations"])
     return EXIT_OK
 
@@ -239,14 +239,14 @@ def cmd_bench(args) -> int:
     summary = {}
     for name in registry.lq_names():
         result = rate_experiment(registry.get_lq(name), config)
-        _write(out, f"rate_{name}.csv", result.csv())
+        (out / f"rate_{name}.csv").write_text(result.csv())
         summary[name] = {
-            "slope": result.slope,
+            "slope": _slope(result.slope),
             "J_star_analytic": result.J_star_analytic,
             "J_star_saa": result.J_star_saa,
             "termination": result.run.termination,
         }
-    _write(out, "bench_summary.json", json.dumps(summary, indent=2))
+    (out / "bench_summary.json").write_text(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
@@ -266,14 +266,15 @@ def cmd_validate(args) -> int:
                 res = sequence_lemma_check(a1, A, config.m_max)
                 all_ok &= res.ok
                 lines.append(f"{a1!r},{A!r},{res.max_b!r},{res.bound!r},{int(res.ok)}")
-        _write(out, "sequence.csv", "\n".join(lines) + "\n")
+        (out / "sequence.csv").write_text("\n".join(lines) + "\n")
         return EXIT_OK if all_ok else EXIT_NUMERICAL
 
     eps_list = [spec.T * 2.0 ** (-N) for N in _EPS_LEVELS]
     experiment = remainder_experiment if args.experiment == "remainder" else variational_experiment
     res = experiment(spec, u0, spec.T / 2.0, eps_list, config)
-    _write(out, f"{args.experiment}.csv", res.csv())
-    _write(out, f"{args.experiment}_summary.json", json.dumps({"slope": res.slope}, indent=2))
+    (out / f"{args.experiment}.csv").write_text(res.csv())
+    summary = json.dumps({"slope": _slope(res.slope)}, indent=2)
+    (out / f"{args.experiment}_summary.json").write_text(summary)
     return EXIT_OK
 
 

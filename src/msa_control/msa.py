@@ -121,7 +121,7 @@ class IterationRecord:
 class MSAConfig:
     mu_tol: float = 1e-6
     m_max: int = 50
-    N_max: int = 8
+    N_max: Optional[int] = None  # deepest dyadic level tried; None: depth
     M: int = 10_000
     depth: int = 8
     seed: int = 7
@@ -129,6 +129,8 @@ class MSAConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):
+        if self.N_max is None:
+            object.__setattr__(self, "N_max", self.depth)
         # written as "not ok" so that a NaN fails them
         if not 1 <= self.N_max <= self.depth:
             raise ValueError("N_max must be between 1 and the grid depth")
@@ -230,8 +232,8 @@ class MSARun:
     mu_final: float
     grid: TimeGrid
     ensemble: BrownianEnsemble
-    J0: float = 0.0
-    mu0: float = 0.0
+    J0: float
+    mu0: float
 
 
 def _initial_control(

@@ -43,12 +43,11 @@ _LATTICE_NODES = 2001  # x-nodes of the remainder's PDE lattice
 # Lyapunov / value ODEs
 
 
-def _min_diffusion_cost(lq: LQSpec, t: float, K: Array) -> float:
-    """min over the control grid of (1/2) sum_i sigma^i' K sigma^i + g."""
+def _diffusion_cost(lq: LQSpec, t: float, K: Array) -> Array:
+    """(1/2) sum_i sigma^i' K sigma^i + g at every control grid point, (V,)."""
     pts = lq.domain.points
     sig = np.asarray(lq.sigma_u(t, pts))  # (V, n, d)
-    quad = 0.5 * np.einsum("vid,ij,vjd->v", sig, K, sig)
-    return float(np.min(quad + np.asarray(lq.g(t, pts))))
+    return 0.5 * np.einsum("vid,ij,vjd->v", sig, K, sig) + np.asarray(lq.g(t, pts))
 
 
 def lyapunov_solve(lq: LQSpec, grid: TimeGrid) -> Tuple[Array, Array, Array]:
@@ -73,7 +72,7 @@ def lyapunov_solve(lq: LQSpec, grid: TimeGrid) -> Tuple[Array, Array, Array]:
         G = np.asarray(lq.G(t))
         dK = -(Kt @ b1 + b1.T @ Kt + G)
         dk = -(b1.T @ kt + Kt @ b2)
-        dc = -(b2 @ kt + _min_diffusion_cost(lq, t, Kt))
+        dc = -(b2 @ kt + float(np.min(_diffusion_cost(lq, t, Kt))))
         return dK, dk, dc
 
     h = -dt
@@ -106,9 +105,6 @@ def lq_closed_form_adjoint(lq: LQSpec, grid: TimeGrid, X: StateEnsemble, u: Cont
 
 @dataclass(frozen=True)
 class LQOracle:
-    K: Array
-    k: Array
-    c: Array
     u_star: Array  # (steps,) domain indices, deterministic in time
     J_star: float
 
@@ -116,22 +112,17 @@ class LQOracle:
 def lq_optimal_control(lq: LQSpec, grid: TimeGrid, lyap: Tuple[Array, Array, Array]):
     """Pointwise HJB minimization over the control grid; returns (indices, J*)."""
     K, kv, c = lyap
-    pts = lq.domain.points
     u_star = np.empty(grid.steps, dtype=np.int64)
     for i in range(grid.steps):
-        t = i * grid.dt
-        sig = np.asarray(lq.sigma_u(t, pts))
-        quad = 0.5 * np.einsum("vid,ij,vjd->v", sig, K[i], sig)
-        u_star[i] = int(np.argmin(quad + np.asarray(lq.g(t, pts))))
+        u_star[i] = int(np.argmin(_diffusion_cost(lq, i * grid.dt, K[i])))
     x0 = lq.x0
     J_star = float(0.5 * x0 @ K[0] @ x0 + kv[0] @ x0 + c[0])
     return u_star, J_star
 
 
 def build_oracle(lq: LQSpec, grid: TimeGrid) -> LQOracle:
-    lyap = lyapunov_solve(lq, grid)
-    u_star, J_star = lq_optimal_control(lq, grid, lyap)
-    return LQOracle(K=lyap[0], k=lyap[1], c=lyap[2], u_star=u_star, J_star=J_star)
+    u_star, J_star = lq_optimal_control(lq, grid, lyapunov_solve(lq, grid))
+    return LQOracle(u_star=u_star, J_star=J_star)
 
 
 # ---------------------------------------------------------------------------
@@ -227,29 +218,18 @@ def _cn_step(v: Array, a: Array, s2: Array, src: Array, dt: float, dx: float) ->
     ab[1, -1] = 1.0
     ab[2, -2] = 0.0
     rhs[-1] = v[-1] + dt * src[-1]
-    out = solve_banded((1, 1), ab, rhs)
+    out = solve_banded((1, 1), ab, rhs, check_finite=False)
     out[0] = 2 * out[1] - out[2]
     out[-1] = 2 * out[-2] - out[-3]
     return out
 
 
-@dataclass(frozen=True)
-class _ScalarValueFields:
-    """Cost-to-go value function and exact spike-gap fields for a scalar
-    problem under a constant base control: gap rate S, the pointwise gap
-    minimizer's drift/diffusion fields, all on a (step, x-node) lattice."""
-
-    xs: Array       # (nx,)
-    S: Array        # (steps, nx) gap rate, <= 0
-    b_sel: Array    # (steps, nx) drift at the selected spike control
-    s2_sel: Array   # (steps, nx) squared diffusion at the selected spike control
-
-
 def _scalar_value_fields(
     spec: ProblemSpec, grid: TimeGrid, X: StateEnsemble, u_index: int, nx: int
-) -> _ScalarValueFields:
-    """Solve the backward cost-to-go PDE for the constant base control and
-    assemble the exact Hamiltonian-gap rate.
+) -> Tuple[Array, Array, Array, Array]:
+    """Solve the backward cost-to-go PDE for the constant base control; return
+    the lattice nodes xs and, per (step, node), the gap rate S <= 0 and the
+    drift b_sel and squared diffusion s2_sel at the pointwise gap minimizer.
 
     With v the cost-to-go, the adjoints along the base flow are p = v_x,
     q = sigma_u v_xx, P = v_xx, so the generalized-Hamiltonian difference at
@@ -280,6 +260,8 @@ def _scalar_value_fields(
     for i in range(steps - 1, -1, -1):
         b_u, s2_u, f_u = fields(i * dt, u_index)
         V[i] = _cn_step(V[i + 1], b_u, s2_u, f_u, dt, dx)
+    if not np.isfinite(V).all():
+        raise SimulationError("non-finite value function on the remainder lattice")
 
     vx = np.gradient(V, dx, axis=1)
     vxx = np.empty_like(V)
@@ -300,7 +282,7 @@ def _scalar_value_fields(
             S[i] = np.where(better, S_c, S[i])
             b_sel[i] = np.where(better, b_c, b_sel[i])
             s2_sel[i] = np.where(better, s2_c, s2_sel[i])
-    return _ScalarValueFields(xs=xs, S=S, b_sel=b_sel, s2_sel=s2_sel)
+    return xs, S, b_sel, s2_sel
 
 
 @dataclass
@@ -384,8 +366,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     remainder is resolvable at desk-scale path counts.
     """
     grid, _, _, X = _start(spec, config, u_index)
-    fields = _scalar_value_fields(spec, grid, X, u_index, nx)
-    xs, S = fields.xs, fields.S
+    xs, S, b_sel, s2_sel = _scalar_value_fields(spec, grid, X, u_index, nx)
     dx = xs[1] - xs[0]
     paths = X.states[:, :, 0]  # (steps+1, M)
     ranges = [_interval_steps(tau, eps, grid) for eps in eps_list]
@@ -407,7 +388,9 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     for eps, (lo, hi), gap_path in zip(eps_list, ranges, gap_paths):
         delta = np.zeros(nx)
         for i in range(hi - 1, lo - 1, -1):
-            delta = _cn_step(delta, fields.b_sel[i], fields.s2_sel[i], S[i], grid.dt, dx)
+            delta = _cn_step(delta, b_sel[i], s2_sel[i], S[i], grid.dt, dx)
+        if not np.isfinite(delta).all():
+            raise SimulationError(f"non-finite difference on the remainder lattice at eps {eps!r}")
         r = _lattice_interp(paths[lo], xs, delta) - gap_path
         rows.append((float(eps), float(np.sum(r) / config.M)))
         ses.append(float(np.std(r) / np.sqrt(config.M)))

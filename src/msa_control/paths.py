@@ -84,10 +84,6 @@ class BrownianEnsemble:
     def steps(self) -> int:
         return self.increments.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.increments.shape[2]
-
 
 def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnsemble:
     """Draw M independent paths of Brownian increments on the grid.

@@ -1,4 +1,5 @@
-"""Built-in benchmark problems.
+"""Built-in benchmark problems: one builder per name, returning a ProblemSpec
+or an LQSpec (embedded by ``get_problem``; its name is one of ``lq_names``).
 
 "lq-scalar" is a scalar linear-quadratic benchmark with the control entering
 only the diffusion, for which the Lyapunov oracle is available.
@@ -82,11 +83,7 @@ def nonconvex_diffusion() -> ProblemSpec:
     )
 
 
-_LQ_REGISTRY = {"lq-scalar": lq_scalar}
-_REGISTRY = {
-    "lq-scalar": lambda: lq_embed(lq_scalar()),
-    "nonconvex-diffusion": nonconvex_diffusion,
-}
+_REGISTRY = {"lq-scalar": lq_scalar, "nonconvex-diffusion": nonconvex_diffusion}
 
 
 def problem_names():
@@ -94,18 +91,17 @@ def problem_names():
 
 
 def lq_names():
-    return sorted(_LQ_REGISTRY)
+    return [name for name in problem_names() if isinstance(_REGISTRY[name](), LQSpec)]
 
 
 def get_problem(name: str) -> ProblemSpec:
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise KeyError(f"unknown problem {name!r}; known: {problem_names()}") from None
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown problem {name!r}; known: {problem_names()}")
+    spec = _REGISTRY[name]()
+    return lq_embed(spec) if isinstance(spec, LQSpec) else spec
 
 
 def get_lq(name: str) -> LQSpec:
-    try:
-        return _LQ_REGISTRY[name]()
-    except KeyError:
-        raise KeyError(f"unknown LQ problem {name!r}; known: {lq_names()}") from None
+    if name not in lq_names():
+        raise KeyError(f"unknown LQ problem {name!r}; known: {lq_names()}")
+    return _REGISTRY[name]()

@@ -31,6 +31,15 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def strict_json(path):
+    """Parse a JSON output, failing on the non-JSON tokens NaN and Infinity."""
+
+    def reject(token):
+        raise ValueError(f"{token} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def strip_wall_time(csv_text):
     rows = [line.split(",") for line in csv_text.strip().splitlines()]
     return [row[:-1] for row in rows]
@@ -250,6 +259,26 @@ class TestValidate:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_remainder_lattice_exits_numerical(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        problem = {**INLINE_LQ, "Gamma": [[1e308]]}
+        cfg.write_text(json.dumps({"problem": problem, "M": 300, "G": 6}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["validate", "remainder", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite value function on the remainder lattice\n"
+        )
+
+    def test_undefined_slope_written_as_null(self, tmp_path):
+        # at M=300 every row is censored, so no point is left to fit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 300, "G": 6}))
+        out = tmp_path / "o"
+        assert main(["validate", "remainder", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert all(row.endswith(",1") for row in (out / "remainder.csv").read_text().split()[1:])
+        assert strict_json(out / "remainder_summary.json") == {"slope": None}
+
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "frobnicate", "--out", "/tmp/x"])
@@ -274,6 +303,15 @@ class TestBench:
         assert err.startswith(cause) and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_undefined_slope_written_as_null(self, tmp_path):
+        # m_max = 0 leaves one rate row, below the fit's two points
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 200, "G": 4, "m_max": 0}))
+        out = tmp_path / "o"
+        assert main(["bench", "lq", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = strict_json(out / "bench_summary.json")
+        assert summary["lq-scalar"]["slope"] is None
 
 
 class TestParser:

@@ -388,6 +388,21 @@ class TestRunMsa:
         assert all(b <= a for a, b in zip(Js, Js[1:]))
 
 
+class TestMSAConfig:
+    def test_level_depth_defaults_to_grid_depth(self):
+        assert MSAConfig(M=300, depth=5).N_max == 5
+        assert MSAConfig(depth=10).N_max == 10
+        assert MSAConfig().N_max == MSAConfig().depth
+
+    def test_explicit_level_depth_kept(self):
+        assert MSAConfig(depth=6, N_max=3).N_max == 3
+
+    @pytest.mark.parametrize("N_max", [0, 6])
+    def test_level_depth_outside_grid_rejected(self, N_max):
+        with pytest.raises(ValueError, match="N_max must be between 1 and the grid depth"):
+            MSAConfig(depth=5, N_max=N_max)
+
+
 class TestSerialization:
     def rows(self):
         return [

@@ -395,6 +395,15 @@ class TestNonfiniteCost:
         with pytest.raises(SimulationError, match=r"^non-finite candidate cost at eps 0.25$"):
             remainder_experiment(_with_phi(spec, poisoned), u, 0.5, PIN_EPS, config)
 
+    def test_overflowing_lattice_stops_conditional_estimator(self):
+        # Gamma = 1e308 overflows the terminal value x^2 Gamma / 2 on the
+        # lattice's outer nodes; the paths themselves stay finite
+        spec = lq_embed(dataclasses.replace(get_lq("lq-scalar"), Gamma=np.array([[1e308]])))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SimulationError, match=r"^non-finite value function on the remainder lattice$"
+        ):
+            remainder_experiment(spec, spec.domain.size - 1, 0.5, PIN_EPS, self.config)
+
 
 class TestSequenceLemma:
     def test_zero_start(self):

@@ -1,0 +1,50 @@
+import numpy as np
+import pytest
+
+from msa_control import LQSpec, ProblemSpec, get_lq, get_problem, lq_embed, lq_names, problem_names
+
+
+def test_names():
+    assert problem_names() == ["lq-scalar", "nonconvex-diffusion"]
+    assert lq_names() == ["lq-scalar"]
+    assert set(lq_names()) <= set(problem_names())
+
+
+@pytest.mark.parametrize("name", ["lq-scalar", "nonconvex-diffusion"])
+def test_get_problem_returns_problem_spec(name):
+    assert isinstance(get_problem(name), ProblemSpec)
+
+
+def test_get_lq_returns_lq_spec():
+    assert isinstance(get_lq("lq-scalar"), LQSpec)
+
+
+def test_unknown_problem():
+    with pytest.raises(KeyError) as exc:
+        get_problem("no-such-problem")
+    assert exc.value.args[0] == (
+        "unknown problem 'no-such-problem'; known: ['lq-scalar', 'nonconvex-diffusion']"
+    )
+
+
+@pytest.mark.parametrize("name", ["no-such-problem", "nonconvex-diffusion"])
+def test_unknown_lq_problem(name):
+    with pytest.raises(KeyError) as exc:
+        get_lq(name)
+    assert exc.value.args[0] == f"unknown LQ problem {name!r}; known: ['lq-scalar']"
+
+
+@pytest.mark.parametrize("name", lq_names())
+def test_problem_is_embedded_lq(name):
+    spec, embedded = get_problem(name), lq_embed(get_lq(name))
+    assert (spec.n, spec.d, spec.k, spec.T) == (embedded.n, embedded.d, embedded.k, embedded.T)
+    np.testing.assert_array_equal(spec.x0, embedded.x0)
+    np.testing.assert_array_equal(spec.domain.points, embedded.domain.points)
+    x = np.linspace(-2.0, 2.0, 5 * spec.n).reshape(5, spec.n)
+    u = spec.domain.points[np.linspace(0, spec.domain.size - 1, 5).astype(int)]
+    a, b = spec.coefficients, embedded.coefficients
+    for t in (0.0, 0.3, 1.0):
+        for fn in ("b", "sigma", "f", "b_x", "sigma_x", "f_x", "f_xx"):
+            np.testing.assert_array_equal(getattr(a, fn)(t, x, u), getattr(b, fn)(t, x, u))
+    for fn in ("Phi", "Phi_x", "Phi_xx"):
+        np.testing.assert_array_equal(getattr(a, fn)(x), getattr(b, fn)(x))
