@@ -142,6 +142,7 @@ _KEYS = {
     "sequence": {"m_max": 100_000},
 }
 _MAX_PATH_BYTES = 16 << 30
+_MAX_SEQUENCE_STEPS = 10**6  # about 30 s over the 12 (a1, A) pairs
 _EPS_LEVELS = range(2, 7)  # validate remainder|variational: eps = T 2^-N around T/2
 
 
@@ -166,8 +167,8 @@ def _resolve(cfg, command: str, seed):
         config = MSAConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"bad run configuration: {exc}") from exc
-    if command == "sequence" and config.m_max < 1:
-        raise ConfigError(f"m_max={config.m_max} must be at least 1")
+    if command == "sequence" and not 1 <= config.m_max <= _MAX_SEQUENCE_STEPS:
+        raise ConfigError(f"m_max={config.m_max} must be at least 1, at most {_MAX_SEQUENCE_STEPS}")
     if command == "sequence":
         return None, config, None
 
@@ -177,12 +178,12 @@ def _resolve(cfg, command: str, seed):
         features = config.basis.feature_count(s.n)
         if config.M <= features:
             raise ConfigError(f"M={config.M} must exceed the {features} regression features")
-        # validate remainder's conditional estimator also keeps seven (2^G, nx)
-        # float arrays on its PDE lattice of nx = _LATTICE_NODES
-        lattice = 7 * _LATTICE_NODES if command == "remainder" else 0
-        bits = math.log2((config.M * (s.n + s.d) + lattice) * 8) + config.depth
+        # validate remainder's conditional estimator (scalar) keeps no W, but
+        # seven (2^G, nx) float arrays on its PDE lattice of nx = _LATTICE_NODES
+        lattice = 7 * _LATTICE_NODES if command == "remainder" and s.n == s.d == 1 else 0
+        bits = math.log2((config.M * (s.n + (not lattice) * s.d) + lattice) * 8) + config.depth
         if bits > math.log2(_MAX_PATH_BYTES):
-            formula = f"(M*(n+d) + {lattice} lattice)*2^G*8" if lattice else "M*2^G*(n+d)*8"
+            formula = f"(M*n + {lattice} lattice)*2^G*8" if lattice else "M*2^G*(n+d)*8"
             raise ConfigError(f"M={config.M}, G={config.depth}: paths need about 2^{bits:.1f} "
                               f"bytes ({formula}), over the {_MAX_PATH_BYTES >> 30} GiB limit")
     if config.ridge == 0 and config.degree >= 1:
@@ -312,13 +313,13 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # every stage checks finiteness and raises a one-line cause
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        SimulationError, RegressionRankError, np.linalg.LinAlgError, FloatingPointError
-    ) as exc:
+    except (SimulationError, RegressionRankError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

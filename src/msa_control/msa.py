@@ -30,6 +30,7 @@ from .hamiltonian import GapProcess, gap_process, mu
 from .model import ProblemSpec
 from .paths import (
     BrownianEnsemble,
+    BrownianStream,
     ControlProcess,
     SimulationError,
     StateEnsemble,
@@ -281,11 +282,13 @@ def _worst_constant(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble) -> i
     return int(np.argmax(cost.reshape(V, M).sum(axis=1) / M))
 
 
-def _start(spec, config, u0, W=None):
-    """(grid, W, u, X): the grid of config.depth, W drawn from config.seed
-    unless given, u0 resolved by _initial_control and its simulated states."""
+def _start(spec, config, u0, W=None, stream=False):
+    """(grid, W, u, X): the grid of config.depth, W from config.seed unless given
+    (a BrownianStream if stream), u0 by _initial_control and its simulated states."""
     grid = TimeGrid(T=spec.T, depth=config.depth)
-    if W is None:
+    if W is None and stream:
+        W = BrownianStream(np.broadcast_to(np.nan, (grid.steps, config.M, spec.d)), config.seed)
+    elif W is None:
         W = generate_brownian(grid, config.M, spec.d, config.seed)
     u = _initial_control(spec, grid, W, u0)
     return grid, W, u, simulate_state(spec, grid, W, u)

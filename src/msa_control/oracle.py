@@ -308,23 +308,18 @@ def _interval_steps(tau: float, eps: float, grid: TimeGrid) -> Tuple[int, int]:
 
 
 def _direct_remainder(spec, u, tau, eps_list, config):
-    """Plain CRN estimator of R(eps): simulate the spiked control and subtract
-    the regression-adjoint gap integral.  Works for any spec; noisy."""
+    """Plain CRN estimator for any spec, noisy: yields (eps, per-path sample),
+    the spiked minus the base cost minus the regression-adjoint gap integral."""
     grid, W, u, X = _start(spec, config, u)
     pc_base = pathwise_cost(spec, grid, X, u)
     state = prepare_state(spec, grid, W, u, X, float(np.mean(pc_base)), config.basis)
-    rows, ses = [], []
     for eps in eps_list:
         lo, hi = _interval_steps(tau, eps, grid)
         cand = spike_control(u, state.gaps, (lo, hi))
         pc_cand = pathwise_cost(spec, grid, simulate_state(spec, grid, W, cand), cand)
         if not np.isfinite(np.sum(pc_cand)):
             raise SimulationError(f"non-finite candidate cost at eps {eps!r}")
-        gap_path = state.gaps.values[lo:hi].sum(axis=0) * grid.dt
-        r = pc_cand - pc_base - gap_path
-        rows.append((float(eps), float(np.sum(r) / config.M)))
-        ses.append(float(np.std(r) / np.sqrt(config.M)))
-    return rows, ses
+        yield eps, pc_cand - pc_base - state.gaps.values[lo:hi].sum(axis=0) * grid.dt
 
 
 def _lattice_interp(x: Array, xs: Array, fp: Array) -> Array:
@@ -365,7 +360,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     base paths, so nearly all Monte Carlo noise cancels and the small-eps
     remainder is resolvable at desk-scale path counts.
     """
-    grid, _, _, X = _start(spec, config, u_index)
+    grid, _, _, X = _start(spec, config, u_index, stream=True)
     xs, S, b_sel, s2_sel = _scalar_value_fields(spec, grid, X, u_index, nx)
     dx = xs[1] - xs[0]
     paths = X.states[:, :, 0]  # (steps+1, M)
@@ -384,17 +379,13 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
                     acc += term
 
     _split_paths(config.M, accumulate)
-    rows, ses = [], []
     for eps, (lo, hi), gap_path in zip(eps_list, ranges, gap_paths):
         delta = np.zeros(nx)
         for i in range(hi - 1, lo - 1, -1):
             delta = _cn_step(delta, b_sel[i], s2_sel[i], S[i], grid.dt, dx)
         if not np.isfinite(delta).all():
             raise SimulationError(f"non-finite difference on the remainder lattice at eps {eps!r}")
-        r = _lattice_interp(paths[lo], xs, delta) - gap_path
-        rows.append((float(eps), float(np.sum(r) / config.M)))
-        ses.append(float(np.std(r) / np.sqrt(config.M)))
-    return rows, ses
+        yield eps, _lattice_interp(paths[lo], xs, delta) - gap_path
 
 
 def remainder_experiment(
@@ -414,10 +405,14 @@ def remainder_experiment(
     excluded from the fit.
     """
     if isinstance(u, (int, np.integer)) and spec.n == 1 and spec.d == 1:
-        raw, ses = _conditional_remainder(spec, int(u), tau, eps_list, config, nx)
+        samples = _conditional_remainder(spec, int(u), tau, eps_list, config, nx)
     else:
-        raw, ses = _direct_remainder(spec, u, tau, eps_list, config)
-    rows = [(e, R, abs(R) < 10.0 * se) for (e, R), se in zip(raw, ses)]
+        samples = _direct_remainder(spec, u, tau, eps_list, config)
+    rows, ses = [], []
+    for eps, r in samples:
+        R, se = float(np.sum(r) / config.M), float(np.std(r) / np.sqrt(config.M))
+        rows.append((float(eps), R, abs(R) < 10.0 * se))
+        ses.append(se)
 
     fit = [(e, abs(R)) for e, R, cen in rows if not cen and abs(R) > 0]
     slope = _loglog_slope([e for e, _ in fit], [r for _, r in fit])

@@ -12,7 +12,10 @@ adjoints and gaps) is time-major, (steps, M, .), so the per-step slice
 
 Euler simulation and the remainder's per-path sums give each usable CPU a
 thread and a contiguous path range once M >= 2 * _PATHS_PER_WORKER (numpy
-drops the interpreter lock in its loops); the bits do not depend on the CPUs.
+drops the interpreter lock in its loops).  Each worker draws and steps a
+BrownianStream (the conditional remainder's W) _STREAM_BLOCK paths at a time.
+No Euler operation reduces across paths and path p always draws the (seed, p)
+stream, so the bits depend neither on the CPUs nor on the block.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ Array = np.ndarray
 
 # Paths drawn per block before the block is copied into the time-major buffer.
 _BROWNIAN_BLOCK = 512
+_STREAM_BLOCK = 8192  # paths a worker draws and steps at a time when streaming
 # Fewest paths per thread.  Two threads step lq-scalar (the cheapest
 # coefficients) at 0.77x the serial speed at M=16384 and 1.2x at M=32768.
 _PATHS_PER_WORKER = 16384
@@ -85,16 +89,14 @@ class BrownianEnsemble:
         return self.increments.shape[0]
 
 
-def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnsemble:
-    """Draw M independent paths of Brownian increments on the grid.
+class BrownianStream(BrownianEnsemble):
+    """generate_brownian's ensemble as its seed; simulate_state draws it by blocks."""
 
-    Path p uses a Philox stream keyed by (seed, p), so the result does not
-    depend on generation order.
-    """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    steps = grid.steps
-    out = np.empty((steps, M, d))
+
+def _fill_brownian(out: Array, first: int, seed: int, dt: float) -> Array:
+    """Fill and return out, (steps, B, d), with N(0, dt) increments for paths
+    first .. first + B - 1; path p is the Philox stream keyed by (seed, p)."""
+    steps, size, d = out.shape
     # Philox is counter-based: restoring a fresh state (counter 0, empty
     # buffer) with key (seed, p) gives exactly the stream of a newly built
     # Philox(key=(seed, p)), without building one per path.
@@ -103,14 +105,22 @@ def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnse
     fresh = bitgen.state
     key = fresh["state"]["key"]
     block = np.empty((_BROWNIAN_BLOCK, steps, d))
-    for start in range(0, M, _BROWNIAN_BLOCK):
-        size = min(_BROWNIAN_BLOCK, M - start)
-        for k in range(size):
-            key[1] = start + k
+    for start in range(0, size, _BROWNIAN_BLOCK):
+        n = min(_BROWNIAN_BLOCK, size - start)
+        for k in range(n):
+            key[1] = first + start + k
             bitgen.state = fresh
             gen.standard_normal(out=block[k])
-        out[:, start : start + size] = block[:size].transpose(1, 0, 2)
-    out *= np.sqrt(grid.dt)
+        out[:, start : start + n] = block[:n].transpose(1, 0, 2)
+    out *= np.sqrt(dt)
+    return out
+
+
+def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnsemble:
+    """Draw M independent paths of Brownian increments on the grid."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    out = _fill_brownian(np.empty((grid.steps, M, d)), 0, seed, grid.dt)
     return BrownianEnsemble(increments=out, seed=seed)
 
 
@@ -185,14 +195,20 @@ def simulate_state(
         raise ProvenanceError(
             f"control shape {u.values.shape} does not match ensemble ({steps}, {M})"
         )
+    frozen = not isinstance(W, BrownianStream)
     pts = spec.domain.points
     X = np.empty((steps + 1, M, spec.n))
     X[0] = spec.x0
 
     def step_range(lo, hi):
-        for i in range(steps):
-            u_pts, dw = pts[u.values[i, lo:hi]], W.increments[i, lo:hi]
-            _euler_step(spec, grid, i, X[i, lo:hi], u_pts, dw, out=X[i + 1, lo:hi])
+        block = hi - lo if frozen else _STREAM_BLOCK
+        buf = None if frozen else np.empty((steps, min(block, hi - lo), spec.d))
+        for start in range(lo, hi, block):
+            b = slice(start, min(start + block, hi))
+            dw = W.increments[:, b] if frozen else _fill_brownian(
+                buf[:, : b.stop - start], start, W.seed, grid.dt)
+            for i in range(steps):
+                _euler_step(spec, grid, i, X[i, b], pts[u.values[i, b]], dw[i], out=X[i + 1, b])
 
     _split_paths(M, step_range)
     # min and max propagate NaN and show +-inf without a full-size mask

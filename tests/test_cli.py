@@ -1,10 +1,10 @@
 import hashlib
 import json
+import warnings
 
-import numpy as np
 import pytest
 
-from msa_control.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from msa_control.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, ConfigError, _resolve, main
 
 from conftest import nan_at_level_one_candidate
 
@@ -141,9 +141,10 @@ class TestSolve:
     def test_diverging_initializer_exits_numerical(self, tmp_path, capsys):
         # b1 = 1e300 sends every constant control to inf at step 2
         cfg = write_config(tmp_path, problem={**INLINE_LQ, "b1": [[1e300]]}, u0="worst-constant")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == EXIT_NUMERICAL
+        assert rc == EXIT_NUMERICAL and caught == []
         assert capsys.readouterr().err == (
             "numerical failure: non-finite state under constant control 0 at path 0, step 2\n"
         )
@@ -230,6 +231,38 @@ class TestValidate:
         assert text.splitlines()[0] == "a1,A,max_b,bound,ok"
         assert len(text.strip().splitlines()) == 1 + 4 * 3
 
+    def test_sequence_steps_bounded(self):
+        assert _resolve({"m_max": 10**6}, "sequence", None)[1].m_max == 10**6
+        with pytest.raises(ConfigError, match=r"^m_max=1000001 must be at least 1, at most"):
+            _resolve({"m_max": 10**6 + 1}, "sequence", None)
+
+    @pytest.mark.parametrize("m_max", [2**63, 1e308], ids=["2**63", "1e308"])
+    def test_huge_sequence_exits_config_without_running(self, tmp_path, capsys, monkeypatch,
+                                                        m_max):
+        import msa_control.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("sequence_lemma_check called")
+
+        monkeypatch.setattr(cli, "sequence_lemma_check", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m_max": m_max}))
+        rc = main(["validate", "sequence", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: m_max={int(m_max)} must be at least 1, at most 1000000\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_remainder_footprint_counts_streamed_paths(self):
+        # nonconvex-diffusion (n = d = 1) at G=9: 2^34 bytes hold 2^22 floats
+        # per step, so M*(n+d) + 7*2001 passes them above M = 2090148 and
+        # M*n + 7*2001 only above M = 4180297
+        spec, config, _ = _resolve({"M": 3_000_000}, "remainder", None)
+        assert (spec.n, spec.d, config.M) == (1, 1, 3_000_000)
+        with pytest.raises(ConfigError, match=r"^M=4200000, G=9: .*\(M\*n \+ 14007 lattice\)"):
+            _resolve({"M": 4_200_000}, "remainder", None)
+
     @pytest.mark.parametrize(
         "experiment, cfg, cause",
         [
@@ -263,9 +296,10 @@ class TestValidate:
         cfg = tmp_path / "cfg.json"
         problem = {**INLINE_LQ, "Gamma": [[1e308]]}
         cfg.write_text(json.dumps({"problem": problem, "M": 300, "G": 6}))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["validate", "remainder", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == EXIT_NUMERICAL
+        assert rc == EXIT_NUMERICAL and caught == []
         assert capsys.readouterr().err == (
             "numerical failure: non-finite value function on the remainder lattice\n"
         )

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from msa_control import (
     ControlProcess,
     GapProcess,
+    MSAConfig,
     ProvenanceError,
     SimulationError,
     TimeGrid,
@@ -17,10 +20,11 @@ from msa_control import (
     load_array,
     lq_embed,
     pathwise_cost,
+    remainder_experiment,
     simulate_state,
     spike_control,
 )
-from msa_control.paths import _BROWNIAN_BLOCK
+from msa_control.paths import _BROWNIAN_BLOCK, BrownianStream
 
 from conftest import scalar_spec
 
@@ -236,6 +240,70 @@ class TestPathSplit:
         grid, W, u = self.ensemble(zero_spec, depth=3)
         simulate_state(zero_spec, grid, W, u)
         assert record.pools == 0 and record.ranges == []
+
+
+class TestStreamedSimulation:
+    # 301 paths in 64-path blocks: one worker takes blocks of 64 x 4 + 45,
+    # two workers (0, 150) and (150, 301) take 64, 64, 22 and 64, 64, 23
+    M = 301
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        from msa_control import paths
+
+        monkeypatch.setattr(paths, "_STREAM_BLOCK", 64)
+
+    def stream(self, grid):
+        return BrownianStream(np.broadcast_to(np.nan, (grid.steps, self.M, 1)), 3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_states_equal_frozen_ensemble(self, path_split, workers):
+        spec = get_problem("nonconvex-diffusion")
+        grid = TimeGrid(T=1.0, depth=5)
+        rng = np.random.default_rng(0)
+        u = ControlProcess(rng.integers(0, 2, (self.M, grid.steps)).T.copy(), 2)
+        record = path_split(cpus=workers, per_worker=100)
+        streamed = simulate_state(spec, grid, self.stream(grid), u).states
+        assert len(record.ranges) == (workers if workers > 1 else 0)
+        frozen = simulate_state(spec, grid, generate_brownian(grid, self.M, 1, 3), u).states
+        assert np.array_equal(streamed, frozen)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nonfinite_named_as_frozen(self, path_split, workers):
+        # X = W until the drift turns NaN above x = 0.5 under the control
+        # point 1.0, which paths 200.. take: the path and step named depend
+        # on draws from a later block than the first
+        def unit(t, x, u):
+            return np.ones_like(x)
+
+        def b(t, x, u):
+            return np.where((x > 0.5) & (u > 0.5), np.nan, 0.0)
+
+        spec = scalar_spec(sigma=unit, b=b)
+        grid = TimeGrid(T=1.0, depth=4)
+        values = np.zeros((grid.steps, self.M), dtype=np.int64)
+        values[:, 200:] = 2
+        u = ControlProcess(values, 3)
+        path_split(cpus=workers, per_worker=100)
+        with pytest.raises(SimulationError) as frozen:
+            simulate_state(spec, grid, generate_brownian(grid, self.M, 1, 3), u)
+        named = re.fullmatch(r"non-finite state at path (\d+), step \d+", str(frozen.value))
+        assert named and int(named[1]) >= 200
+        with pytest.raises(SimulationError, match=f"^{re.escape(str(frozen.value))}$"):
+            simulate_state(spec, grid, self.stream(grid), u)
+
+    def test_conditional_remainder_draws_no_ensemble(self, monkeypatch):
+        from msa_control import msa, oracle, paths
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_brownian called")
+
+        for module in (msa, oracle, paths):
+            monkeypatch.setattr(module, "generate_brownian", refuse, raising=False)
+        spec = get_problem("nonconvex-diffusion")
+        config = MSAConfig(M=300, depth=6, N_max=6, seed=3)
+        res = remainder_experiment(spec, spec.domain.size - 1, 0.5, [0.25, 0.125], config)
+        assert len(res.rows) == 2
 
 
 class TestCost:
