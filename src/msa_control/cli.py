@@ -235,11 +235,11 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     _, config, _ = _resolve(_load_json(args.config), "bench", args.seed)
+    results = {name: rate_experiment(registry.get_lq(name), config) for name in registry.lq_names()}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for name in registry.lq_names():
-        result = rate_experiment(registry.get_lq(name), config)
+    for name, result in results.items():
         (out / f"rate_{name}.csv").write_text(result.csv())
         summary[name] = {
             "slope": _slope(result.slope),
@@ -258,7 +258,6 @@ _SEQ_GRID_A = (0.1, 1.0, 10.0)
 def cmd_validate(args) -> int:
     spec, config, u0 = _resolve(_load_json(args.config), args.experiment, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.experiment == "sequence":
         lines = ["a1,A,max_b,bound,ok"]
         all_ok = True
@@ -267,12 +266,14 @@ def cmd_validate(args) -> int:
                 res = sequence_lemma_check(a1, A, config.m_max)
                 all_ok &= res.ok
                 lines.append(f"{a1!r},{A!r},{res.max_b!r},{res.bound!r},{int(res.ok)}")
+        out.mkdir(parents=True, exist_ok=True)
         (out / "sequence.csv").write_text("\n".join(lines) + "\n")
         return EXIT_OK if all_ok else EXIT_NUMERICAL
 
     eps_list = [spec.T * 2.0 ** (-N) for N in _EPS_LEVELS]
     experiment = remainder_experiment if args.experiment == "remainder" else variational_experiment
     res = experiment(spec, u0, spec.T / 2.0, eps_list, config)
+    out.mkdir(parents=True, exist_ok=True)
     (out / f"{args.experiment}.csv").write_text(res.csv())
     summary = json.dumps({"slope": _slope(res.slope)}, indent=2)
     (out / f"{args.experiment}_summary.json").write_text(summary)

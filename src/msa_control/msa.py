@@ -10,8 +10,8 @@ evaluated exactly on the frozen ensemble.  The level search restarts at
 N = 1 each iteration.  The accepted candidate's simulated states and cost
 carry over to the next iteration.
 
-The order experiments in ``oracle`` share the solver's ``_start`` (the
-ensemble from a config, the simulated start control) and ``prepare_state``.
+The order experiments in ``oracle`` (bar the conditional remainder) share the solver's
+``_start`` (the ensemble from a config, the simulated start control) and ``prepare_state``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .hamiltonian import GapProcess, gap_process, mu
 from .model import ProblemSpec
 from .paths import (
     BrownianEnsemble,
-    BrownianStream,
     ControlProcess,
     SimulationError,
     StateEnsemble,
@@ -282,13 +281,11 @@ def _worst_constant(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble) -> i
     return int(np.argmax(cost.reshape(V, M).sum(axis=1) / M))
 
 
-def _start(spec, config, u0, W=None, stream=False):
-    """(grid, W, u, X): the grid of config.depth, W from config.seed unless given
-    (a BrownianStream if stream), u0 by _initial_control and its simulated states."""
+def _start(spec, config, u0, W=None):
+    """(grid, W, u, X): the grid of config.depth, W drawn from config.seed
+    unless given, u0 resolved by _initial_control and its simulated states."""
     grid = TimeGrid(T=spec.T, depth=config.depth)
-    if W is None and stream:
-        W = BrownianStream(np.broadcast_to(np.nan, (grid.steps, config.M, spec.d)), config.seed)
-    elif W is None:
+    if W is None:
         W = generate_brownian(grid, config.M, spec.d, config.seed)
     u = _initial_control(spec, grid, W, u0)
     return grid, W, u, simulate_state(spec, grid, W, u)

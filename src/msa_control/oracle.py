@@ -6,8 +6,8 @@ check the orders the theory predicts: the spike-variation cost remainder
 (eps^{3/2}), the variational-equation defect (eps^3 in squared L2) and the
 m^{-1/2} sequence bound.
 
-The experiments run on the solver's ensemble and checked ``prepare_state``
-(via ``run_msa`` or ``msa._start``): a non-finite cost raises SimulationError.
+All but the conditional remainder run on the solver's ensemble and checked
+``prepare_state`` (``run_msa``, ``msa._start``): a non-finite cost raises SimulationError.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .paths import (
     evaluate_cost,
     pathwise_cost,
     simulate_state,
+    stream_states,
 )
 
 Array = np.ndarray
@@ -225,11 +226,11 @@ def _cn_step(v: Array, a: Array, s2: Array, src: Array, dt: float, dx: float) ->
 
 
 def _scalar_value_fields(
-    spec: ProblemSpec, grid: TimeGrid, X: StateEnsemble, u_index: int, nx: int
+    spec: ProblemSpec, grid: TimeGrid, bounds: Tuple[float, float], u_index: int, nx: int
 ) -> Tuple[Array, Array, Array, Array]:
-    """Solve the backward cost-to-go PDE for the constant base control; return
-    the lattice nodes xs and, per (step, node), the gap rate S <= 0 and the
-    drift b_sel and squared diffusion s2_sel at the pointwise gap minimizer.
+    """Solve the backward cost-to-go PDE for the constant base control on a lattice
+    around bounds, the states' (min, max); return the nodes xs and, per (step, node),
+    the gap rate S <= 0 and the drift b_sel and squared diffusion s2_sel at its minimizer.
 
     With v the cost-to-go, the adjoints along the base flow are p = v_x,
     q = sigma_u v_xx, P = v_xx, so the generalized-Hamiltonian difference at
@@ -239,8 +240,7 @@ def _scalar_value_fields(
     """
     c = spec.coefficients
     pts = spec.domain.points
-    lo = float(X.states.min())
-    hi = float(X.states.max())
+    lo, hi = bounds
     pad = 0.5 * (hi - lo) + 1.0
     xs = np.linspace(lo - pad, hi + pad, nx)
     dx = xs[1] - xs[0]
@@ -255,29 +255,25 @@ def _scalar_value_fields(
         f = np.asarray(c.f(t, xcol, upt))
         return b, s2, f
 
-    V = np.empty((steps + 1, nx))
-    V[steps] = np.asarray(c.Phi(xcol))
-    for i in range(steps - 1, -1, -1):
-        b_u, s2_u, f_u = fields(i * dt, u_index)
-        V[i] = _cn_step(V[i + 1], b_u, s2_u, f_u, dt, dx)
-    if not np.isfinite(V).all():
-        raise SimulationError("non-finite value function on the remainder lattice")
-
-    vx = np.gradient(V, dx, axis=1)
-    vxx = np.empty_like(V)
-    vxx[:, 1:-1] = (V[:, :-2] - 2 * V[:, 1:-1] + V[:, 2:]) / (dx * dx)
-    vxx[:, 0] = vxx[:, 1]
-    vxx[:, -1] = vxx[:, -2]
-
+    # each value row is used once solved: one base-field call per step, no (steps, nx) V
     S = np.full((steps, nx), np.inf)
     b_sel = np.empty((steps, nx))
     s2_sel = np.empty((steps, nx))
-    for i in range(steps):
+    v = np.asarray(c.Phi(xcol))
+    for i in range(steps - 1, -1, -1):
         t = i * dt
-        b_u, s2_u, f_u = fields(t, u_index)
+        base = b_u, s2_u, f_u = fields(t, u_index)
+        v, v_next = _cn_step(v, b_u, s2_u, f_u, dt, dx), v
+        if not (np.isfinite(v_next).all() and np.isfinite(v).all()):
+            raise SimulationError("non-finite value function on the remainder lattice")
+        vx = np.gradient(v, dx)
+        vxx = np.empty_like(v)
+        vxx[1:-1] = (v[:-2] - 2 * v[1:-1] + v[2:]) / (dx * dx)
+        vxx[0] = vxx[1]
+        vxx[-1] = vxx[-2]
         for ci in range(pts.shape[0]):
-            b_c, s2_c, f_c = fields(t, ci)
-            S_c = (b_c - b_u) * vx[i] + (f_c - f_u) + 0.5 * (s2_c - s2_u) * vxx[i]
+            b_c, s2_c, f_c = base if ci == u_index else fields(t, ci)
+            S_c = (b_c - b_u) * vx + (f_c - f_u) + 0.5 * (s2_c - s2_u) * vxx
             better = S_c < S[i]  # strict: ties keep the smaller index
             S[i] = np.where(better, S_c, S[i])
             b_sel[i] = np.where(better, b_c, b_sel[i])
@@ -360,23 +356,23 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     base paths, so nearly all Monte Carlo noise cancels and the small-eps
     remainder is resolvable at desk-scale path counts.
     """
-    grid, _, _, X = _start(spec, config, u_index, stream=True)
-    xs, S, b_sel, s2_sel = _scalar_value_fields(spec, grid, X, u_index, nx)
-    dx = xs[1] - xs[0]
-    paths = X.states[:, :, 0]  # (steps+1, M)
+    grid = TimeGrid(T=spec.T, depth=config.depth)
     ranges = [_interval_steps(tau, eps, grid) for eps in eps_list]
-    # The intervals are nested around tau, so one pass over their union
-    # interpolates each step once; every interval still sums its own steps
-    # in ascending order from zero.
+    # The intervals are nested around tau: only the steps of their union are
+    # kept, and one pass over it interpolates each step once; every interval
+    # still sums its own steps in ascending order from zero.
+    rows = range(min((lo for lo, _ in ranges), default=0), max((hi for _, hi in ranges), default=0))
+    window, *bounds = stream_states(spec, grid, config.M, config.seed, u_index, rows)
+    xs, S, b_sel, s2_sel = _scalar_value_fields(spec, grid, bounds, u_index, nx)
+    dx = xs[1] - xs[0]
     gap_paths = [np.zeros(config.M) for _ in ranges]
 
     def accumulate(p_lo, p_hi):
-        for i in range(grid.steps):
+        for i in rows:
             inside = [acc[p_lo:p_hi] for (lo, hi), acc in zip(ranges, gap_paths) if lo <= i < hi]
-            if inside:
-                term = _lattice_interp(paths[i, p_lo:p_hi], xs, S[i]) * grid.dt
-                for acc in inside:
-                    acc += term
+            term = _lattice_interp(window[i - rows.start, p_lo:p_hi, 0], xs, S[i]) * grid.dt
+            for acc in inside:
+                acc += term
 
     _split_paths(config.M, accumulate)
     for eps, (lo, hi), gap_path in zip(eps_list, ranges, gap_paths):
@@ -385,7 +381,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
             delta = _cn_step(delta, b_sel[i], s2_sel[i], S[i], grid.dt, dx)
         if not np.isfinite(delta).all():
             raise SimulationError(f"non-finite difference on the remainder lattice at eps {eps!r}")
-        yield eps, _lattice_interp(paths[lo], xs, delta) - gap_path
+        yield eps, _lattice_interp(window[lo - rows.start, :, 0], xs, delta) - gap_path
 
 
 def remainder_experiment(

@@ -12,10 +12,10 @@ adjoints and gaps) is time-major, (steps, M, .), so the per-step slice
 
 Euler simulation and the remainder's per-path sums give each usable CPU a
 thread and a contiguous path range once M >= 2 * _PATHS_PER_WORKER (numpy
-drops the interpreter lock in its loops).  Each worker draws and steps a
-BrownianStream (the conditional remainder's W) _STREAM_BLOCK paths at a time.
-No Euler operation reduces across paths and path p always draws the (seed, p)
-stream, so the bits depend neither on the CPUs nor on the block.
+drops the interpreter lock in its loops).  stream_states holds neither W nor X: each
+worker draws and steps _STREAM_BLOCK paths at a time, keeping the steps asked for and a
+running min and max.  No Euler operation reduces across paths and path p always draws
+the (seed, p) stream, so the bits depend neither on the CPUs nor on the block.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ Array = np.ndarray
 
 # Paths drawn per block before the block is copied into the time-major buffer.
 _BROWNIAN_BLOCK = 512
-_STREAM_BLOCK = 8192  # paths a worker draws and steps at a time when streaming
+_STREAM_BLOCK = 8192  # paths a stream_states worker draws and steps at a time
 # Fewest paths per thread.  Two threads step lq-scalar (the cheapest
 # coefficients) at 0.77x the serial speed at M=16384 and 1.2x at M=32768.
 _PATHS_PER_WORKER = 16384
@@ -87,10 +87,6 @@ class BrownianEnsemble:
     @property
     def steps(self) -> int:
         return self.increments.shape[0]
-
-
-class BrownianStream(BrownianEnsemble):
-    """generate_brownian's ensemble as its seed; simulate_state draws it by blocks."""
 
 
 def _fill_brownian(out: Array, first: int, seed: int, dt: float) -> Array:
@@ -157,20 +153,20 @@ class StateEnsemble:
     control_values: Array
 
 
-def _split_paths(M: int, fn) -> None:
+def _split_paths(M: int, fn) -> list:
     """Call fn(lo, hi) on contiguous ranges covering paths [0, M), one per
     worker thread, each in a copy of the caller's context (numpy's errstate);
-    inline with one worker.  The first exception in range order is raised."""
+    inline with one worker.  Results and the first exception come in range order."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cpus or 1, M // _PATHS_PER_WORKER))
     if workers == 1:
-        return fn(0, M)
+        return [fn(0, M)]
     from concurrent.futures import ThreadPoolExecutor
 
     bounds = [M * w // workers for w in range(workers + 1)]
     contexts = [contextvars.copy_context() for _ in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(lambda ctx, lo, hi: ctx.run(fn, lo, hi), contexts, bounds, bounds[1:]))
+        return list(pool.map(lambda ctx, lo, hi: ctx.run(fn, lo, hi), contexts, bounds, bounds[1:]))
 
 
 def _euler_step(spec: ProblemSpec, grid: TimeGrid, i: int, x: Array, u_pts: Array, dw: Array,
@@ -195,20 +191,14 @@ def simulate_state(
         raise ProvenanceError(
             f"control shape {u.values.shape} does not match ensemble ({steps}, {M})"
         )
-    frozen = not isinstance(W, BrownianStream)
     pts = spec.domain.points
     X = np.empty((steps + 1, M, spec.n))
     X[0] = spec.x0
 
     def step_range(lo, hi):
-        block = hi - lo if frozen else _STREAM_BLOCK
-        buf = None if frozen else np.empty((steps, min(block, hi - lo), spec.d))
-        for start in range(lo, hi, block):
-            b = slice(start, min(start + block, hi))
-            dw = W.increments[:, b] if frozen else _fill_brownian(
-                buf[:, : b.stop - start], start, W.seed, grid.dt)
-            for i in range(steps):
-                _euler_step(spec, grid, i, X[i, b], pts[u.values[i, b]], dw[i], out=X[i + 1, b])
+        for i in range(steps):
+            u_pts, dw = pts[u.values[i, lo:hi]], W.increments[i, lo:hi]
+            _euler_step(spec, grid, i, X[i, lo:hi], u_pts, dw, out=X[i + 1, lo:hi])
 
     _split_paths(M, step_range)
     # min and max propagate NaN and show +-inf without a full-size mask
@@ -217,6 +207,41 @@ def simulate_state(
         p = int(np.argmax(bad.any(axis=0)))
         raise SimulationError(f"non-finite state at path {p}, step {np.argmax(bad[:, p])}")
     return StateEnsemble(states=X, control_values=u.values)
+
+
+def stream_states(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int, u_index: int,
+                  rows: range) -> tuple[Array, float, float]:
+    """simulate_state's X under the constant control u_index on generate_brownian(grid,
+    M, spec.d, seed) as (X[rows], X.min(), X.max()), raising as simulate_state does."""
+    if not 0 <= u_index < spec.domain.size:
+        raise ValueError("control index out of domain range")
+    window = np.empty((len(rows), M, spec.n))
+
+    def step_range(lo, hi):
+        buf = np.empty((grid.steps, _STREAM_BLOCK, spec.d))
+        # laid out as simulate_state's per-step gather, but built once
+        u_pts = np.repeat(spec.domain.points[u_index : u_index + 1], _STREAM_BLOCK, axis=0)
+        low, high = np.inf, -np.inf
+        for start in range(lo, hi, _STREAM_BLOCK):
+            b = min(_STREAM_BLOCK, hi - start)
+            dw = _fill_brownian(buf[:, :b], start, seed, grid.dt)
+            x, bad_at = np.full((b, spec.n), spec.x0), np.full(b, -1)  # first non-finite steps
+            for i in range(grid.steps + 1):
+                x = _euler_step(spec, grid, i - 1, x, u_pts[:b], dw[i - 1]) if i else x
+                row = x.min(), x.max()
+                # NaN and +-inf show in min or max and persist: only such rows need the mask
+                if not np.isfinite(row).all():
+                    bad_at[(bad_at < 0) & ~np.isfinite(x).all(axis=1)] = i
+                low, high = min(low, row[0]), max(high, row[1])
+                if i in rows:
+                    window[i - rows.start, start : start + b] = x
+            if bad_at.max() >= 0:
+                p = int(np.argmax(bad_at >= 0))
+                raise SimulationError(f"non-finite state at path {start + p}, step {bad_at[p]}")
+        return low, high
+
+    lows, highs = zip(*_split_paths(M, step_range))
+    return window, min(lows), max(highs)
 
 
 def _check_provenance(X: StateEnsemble, u: ControlProcess) -> None:

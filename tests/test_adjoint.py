@@ -16,8 +16,8 @@ from msa_control import (
     regress_conditional,
     simulate_state,
     solve_first_adjoint,
-    solve_second_adjoint,
 )
+from msa_control.adjoint import _collect
 
 from conftest import scalar_spec
 
@@ -143,8 +143,7 @@ class TestHessianOfH:
 class TestSecondAdjoint:
     def test_zero_problem(self, zero_spec):
         grid, W, u, X = frozen_ensemble(zero_spec, M=200, depth=3)
-        adj1 = solve_first_adjoint(zero_spec, grid, X, u, RegressionBasis(), W)
-        adj2 = solve_second_adjoint(zero_spec, grid, X, u, adj1, RegressionBasis(), W)
+        _, adj2 = _collect(zero_spec, grid, X, u, RegressionBasis(), W)
         assert np.all(adj2.P == 0.0)
 
     def test_deterministic_riccati_profile(self):
@@ -152,8 +151,7 @@ class TestSecondAdjoint:
         lq = make_lq(G=lambda t: np.array([[1.0]]), Gamma=np.array([[0.0]]))
         spec = lq_embed(lq)
         grid, W, u, X = frozen_ensemble(spec, M=4000, depth=5, u_index=1)
-        adj1 = solve_first_adjoint(spec, grid, X, u, RegressionBasis(), W)
-        adj2 = solve_second_adjoint(spec, grid, X, u, adj1, RegressionBasis(), W)
+        _, adj2 = _collect(spec, grid, X, u, RegressionBasis(), W)
         profile = adj2.P[:, :, 0, 0].mean(axis=1)
         target = spec.T - grid.times
         assert np.max(np.abs(profile - target)) <= 0.02 * spec.T
@@ -162,8 +160,7 @@ class TestSecondAdjoint:
         lq = get_lq("lq-scalar")
         spec = lq_embed(lq)
         grid, W, u, X = frozen_ensemble(spec, M=2000, depth=5, u_index=10)
-        adj1 = solve_first_adjoint(spec, grid, X, u, RegressionBasis(), W)
-        adj2 = solve_second_adjoint(spec, grid, X, u, adj1, RegressionBasis(), W)
+        _, adj2 = _collect(spec, grid, X, u, RegressionBasis(), W)
         ref1, ref2 = lq_closed_form_adjoint(lq, grid, X, u)
         assert rel_l2(adj2.P[:, :, 0, 0], ref2.P[:, :, 0, 0]) <= 0.05
         assert adj2.max_presym_asymmetry <= 1e-8
@@ -171,15 +168,13 @@ class TestSecondAdjoint:
     def test_symmetry_exact_after_symmetrization(self):
         spec = lq_embed(get_lq("lq-scalar"))
         grid, W, u, X = frozen_ensemble(spec, M=500, depth=4)
-        adj1 = solve_first_adjoint(spec, grid, X, u, RegressionBasis(), W)
-        adj2 = solve_second_adjoint(spec, grid, X, u, adj1, RegressionBasis(), W)
+        _, adj2 = _collect(spec, grid, X, u, RegressionBasis(), W)
         assert np.array_equal(adj2.P, adj2.P.transpose(0, 1, 3, 2))
 
     def test_terminal_condition_bitwise(self):
         spec = lq_embed(get_lq("lq-scalar"))
         grid, W, u, X = frozen_ensemble(spec, M=500, depth=4)
-        adj1 = solve_first_adjoint(spec, grid, X, u, RegressionBasis(), W)
-        adj2 = solve_second_adjoint(spec, grid, X, u, adj1, RegressionBasis(), W)
+        _, adj2 = _collect(spec, grid, X, u, RegressionBasis(), W)
         expected = np.asarray(spec.coefficients.Phi_xx(X.states[-1]))
         assert np.array_equal(adj2.P[-1], expected)
 

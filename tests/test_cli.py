@@ -4,7 +4,9 @@ import warnings
 
 import pytest
 
-from msa_control.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, ConfigError, _resolve, main
+from msa_control.cli import (
+    _KEYS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, ConfigError, _resolve, main,
+)
 
 from conftest import nan_at_level_one_candidate
 
@@ -358,3 +360,61 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--config", "x.json"])
         assert exc.value.code == 2
+
+
+# Every subcommand's smallest run; each fuzz case below changes one key.  The
+# runs draw from MSAConfig's default seed, so every case is deterministic.
+FUZZ_BASE = {
+    "solve": {"M": 50, "G": 2, "m_max": 1},
+    "bench": {"M": 50, "G": 2, "m_max": 1},
+    "remainder": {"M": 50, "G": 6},
+    "variational": {"M": 50, "G": 6},
+    "sequence": {"m_max": 10},
+}
+FUZZ_VALUES = [-1, 0, 1, 2, 7, 2**63, 1e308, -1e308, 0.5, 1e-320, "abc", True, None, [], {}]
+# Inline LQ problems that overflow or hold a wrong shape, sign or type; each
+# runs through solve and validate remainder (the conditional estimator).
+INLINE_LQ_MUTATIONS = [
+    {"T": 1e308}, {"T": 0.0}, {"T": -1.0}, {"x0": [1e308]}, {"x0": [1.0, 2.0]},
+    {"b1": [[1e308]]}, {"b2": [1e308]}, {"G": [[1e308]]}, {"G": [[-1.0]]},
+    {"Gamma": [[1e308]]}, {"Gamma": "abc"}, {"sigma0": [[1e154]]}, {"sigma0": [[1e308]]},
+    {"sigma_u": [[[1e308]]]}, {"g_lin": [1e308]}, {"g_quad": [[1e308]]},
+    {"domain": [[1e308]]}, {"domain": []}, {"domain": [[1.0], [1.0]]}, {"n": 2}, {"d": 0},
+    {"k": 2}, {"type": "quadratic"}, {"T": None}, {"domain": [[-1e308], [1e308]]},
+]
+
+
+def fuzz_cases(group):
+    """(subcommand, config) pairs: every key of a subcommand set in turn to
+    each of FUZZ_VALUES, or every inline LQ mutation."""
+    if group == "inline-lq":
+        for mutation in INLINE_LQ_MUTATIONS:
+            for command in ("solve", "remainder"):
+                yield command, {**FUZZ_BASE[command], "problem": {**INLINE_LQ, **mutation}}
+        return
+    for key in _KEYS[group]:
+        for value in FUZZ_VALUES:
+            if (key, value) != ("G", 7):  # a G=7 grid is above this test's G <= 6
+                yield group, {**FUZZ_BASE[group], key: value}
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("group", [*FUZZ_BASE, "inline-lq"])
+    def test_fuzzed_configs_keep_exit_contract(self, tmp_path, capsys, group):
+        # exit 0, 2 or 3; one stderr line exactly when not 0; no warning; no
+        # --out after a failure
+        breaches = []
+        for case, (command, cfg) in enumerate(fuzz_cases(group)):
+            path, out = tmp_path / f"cfg{case}.json", tmp_path / f"out{case}"
+            path.write_text(json.dumps(cfg))
+            argv = {"solve": ["solve"], "bench": ["bench", "lq"]}.get(command, ["validate", command])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main([*argv, "--config", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            one_line = err.endswith("\n") and err.count("\n") == 1
+            failed = rc in (EXIT_CONFIG, EXIT_NUMERICAL) and one_line and not out.exists()
+            if caught or not (rc == EXIT_OK and err == "" or failed):
+                warned = sorted({str(w.message) for w in caught})
+                breaches.append(f"{command} {json.dumps(cfg)}: exit {rc}, {err!r}, {warned}")
+        assert breaches == []

@@ -21,9 +21,8 @@ from msa_control import (
     minimize_h,
     mu,
     simulate_state,
-    solve_first_adjoint,
-    solve_second_adjoint,
 )
+from msa_control.adjoint import _collect
 
 from conftest import coupled_lq2d, scalar_spec
 
@@ -193,8 +192,7 @@ class TestGapProcess:
         W = generate_brownian(grid, 50, 1, 0)
         u = ControlProcess.constant(0, 50, grid.steps, 3)
         X = simulate_state(zero_spec, grid, W, u)
-        adj1 = solve_first_adjoint(zero_spec, grid, X, u, RegressionBasis(), W)
-        adj2 = solve_second_adjoint(zero_spec, grid, X, u, adj1, RegressionBasis(), W)
+        adj1, adj2 = _collect(zero_spec, grid, X, u, RegressionBasis(), W)
         gaps = gap_process(zero_spec, grid, X, u, stored_slices(adj1, adj2))
         assert np.all(gaps.values == 0.0)
         assert np.all(gaps.argmin_indices == 0)
@@ -208,8 +206,7 @@ class TestGapProcess:
         X = simulate_state(spec, grid, W, u)
         basis = RegressionBasis()
         streamed = gap_process(spec, grid, X, u, adjoint_sweep(spec, grid, X, u, basis, W))
-        adj1 = solve_first_adjoint(spec, grid, X, u, basis, W)
-        adj2 = solve_second_adjoint(spec, grid, X, u, adj1, basis, W)
+        adj1, adj2 = _collect(spec, grid, X, u, basis, W)
         stored = gap_process(spec, grid, X, u, stored_slices(adj1, adj2))
         assert np.array_equal(streamed.values, stored.values)
         assert np.array_equal(streamed.argmin_indices, stored.argmin_indices)

@@ -28,12 +28,11 @@ from msa_control import (
     records_to_csv,
     run_msa,
     simulate_state,
-    solve_first_adjoint,
-    solve_second_adjoint,
     spike_control,
 )
 
 from msa_control import msa as msa_module
+from msa_control.adjoint import _collect
 from msa_control.msa import IterationRecord, SolverState, _initial_control
 
 from conftest import coupled_lq2d, nan_at_level_one_candidate, scalar_spec
@@ -371,8 +370,7 @@ class TestRunMsa:
 
         u, W = run.final_control, run.ensemble
         X = simulate_state(spec, run.grid, W, u)
-        adj1 = solve_first_adjoint(spec, run.grid, X, u, config.basis, W)
-        adj2 = solve_second_adjoint(spec, run.grid, X, u, adj1, config.basis, W)
+        adj1, adj2 = _collect(spec, run.grid, X, u, config.basis, W)
         ref1, ref2 = lq_closed_form_adjoint(lq, run.grid, X, u)
 
         def rel(est, ref):

@@ -1,4 +1,3 @@
-import re
 
 import numpy as np
 import pytest
@@ -24,7 +23,8 @@ from msa_control import (
     simulate_state,
     spike_control,
 )
-from msa_control.paths import _BROWNIAN_BLOCK, BrownianStream
+from msa_control import paths
+from msa_control.paths import _BROWNIAN_BLOCK, stream_states
 
 from conftest import scalar_spec
 
@@ -243,67 +243,98 @@ class TestPathSplit:
 
 
 class TestStreamedSimulation:
-    # 301 paths in 64-path blocks: one worker takes blocks of 64 x 4 + 45,
-    # two workers (0, 150) and (150, 301) take 64, 64, 22 and 64, 64, 23
+    # 301 paths in 64-path blocks: one worker takes blocks of 64 x 4 + 45;
+    # two workers (0, 150) and (150, 301) take 64, 64, 22 and 64, 64, 23;
+    # three workers take 64, 36 / 64, 36 / 64, 37
     M = 301
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        from msa_control import paths
-
         monkeypatch.setattr(paths, "_STREAM_BLOCK", 64)
 
-    def stream(self, grid):
-        return BrownianStream(np.broadcast_to(np.nan, (grid.steps, self.M, 1)), 3)
-
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_states_equal_frozen_ensemble(self, path_split, workers):
-        spec = get_problem("nonconvex-diffusion")
+        # the drift-only problem rises from x0 = 0.25, so x0 is X's minimum
+        rising = scalar_spec(b=lambda t, x, u: np.ones_like(x), x0=0.25)
         grid = TimeGrid(T=1.0, depth=5)
-        rng = np.random.default_rng(0)
-        u = ControlProcess(rng.integers(0, 2, (self.M, grid.steps)).T.copy(), 2)
-        record = path_split(cpus=workers, per_worker=100)
-        streamed = simulate_state(spec, grid, self.stream(grid), u).states
-        assert len(record.ranges) == (workers if workers > 1 else 0)
-        frozen = simulate_state(spec, grid, generate_brownian(grid, self.M, 1, 3), u).states
-        assert np.array_equal(streamed, frozen)
+        for spec in (get_problem("nonconvex-diffusion"), rising):
+            u = ControlProcess.constant(1, self.M, grid.steps, spec.domain.size)
+            X = simulate_state(spec, grid, generate_brownian(grid, self.M, 1, 3), u).states
+            for rows in (range(5, 19), range(0, grid.steps + 1)):
+                record = path_split(cpus=workers, per_worker=100)
+                window, low, high = stream_states(spec, grid, self.M, 3, 1, rows)
+                assert len(record.ranges) == (workers if workers > 1 else 0)
+                assert np.array_equal(window, X[rows.start : rows.stop])
+                assert (low, high) == (X.min(), X.max())
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_nonfinite_named_as_frozen(self, path_split, workers):
-        # X = W until the drift turns NaN above x = 0.5 under the control
-        # point 1.0, which paths 200.. take: the path and step named depend
-        # on draws from a later block than the first
+        # X = W until the drift turns NaN past a level.  Below -2.5, path 88
+        # of the second block turns first, before the last step; above 1.5,
+        # paths 41 and 57 turn before path 3, which is named with its own
+        # first step; below -2.8, only path 231 of the last range turns
         def unit(t, x, u):
             return np.ones_like(x)
 
-        def b(t, x, u):
-            return np.where((x > 0.5) & (u > 0.5), np.nan, 0.0)
+        cases = [(4, lambda x: x < -2.5, 88, 13), (5, lambda x: x > 1.5, 3, 22),
+                 (4, lambda x: x < -2.8, 231, 16)]
+        for depth, past, path, step in cases:
+            grid = TimeGrid(T=1.0, depth=depth)
+            u = ControlProcess.constant(2, self.M, grid.steps, 3)
+            spec = scalar_spec(sigma=unit, b=lambda t, x, u: np.where(past(x), np.nan, 0.0))
+            named = f"^non-finite state at path {path}, step {step}$"
+            with pytest.raises(SimulationError, match=named):
+                simulate_state(spec, grid, generate_brownian(grid, self.M, 1, 3), u)
+            path_split(cpus=workers, per_worker=100)
+            with pytest.raises(SimulationError, match=named):
+                stream_states(spec, grid, self.M, 3, 2, range(3, 9))
 
-        spec = scalar_spec(sigma=unit, b=b)
-        grid = TimeGrid(T=1.0, depth=4)
-        values = np.zeros((grid.steps, self.M), dtype=np.int64)
-        values[:, 200:] = 2
-        u = ControlProcess(values, 3)
-        path_split(cpus=workers, per_worker=100)
-        with pytest.raises(SimulationError) as frozen:
-            simulate_state(spec, grid, generate_brownian(grid, self.M, 1, 3), u)
-        named = re.fullmatch(r"non-finite state at path (\d+), step \d+", str(frozen.value))
-        assert named and int(named[1]) >= 200
-        with pytest.raises(SimulationError, match=f"^{re.escape(str(frozen.value))}$"):
-            simulate_state(spec, grid, self.stream(grid), u)
+    def test_control_index_checked(self):
+        spec = get_problem("nonconvex-diffusion")
+        for u_index in (-1, 2):
+            with pytest.raises(ValueError, match="out of domain range"):
+                stream_states(spec, TimeGrid(T=1.0, depth=3), self.M, 3, u_index, range(2))
 
     def test_conditional_remainder_draws_no_ensemble(self, monkeypatch):
-        from msa_control import msa, oracle, paths
+        from msa_control import msa, oracle
 
         def refuse(*args, **kwargs):
-            raise AssertionError("generate_brownian called")
+            raise AssertionError("frozen ensemble built")
 
         for module in (msa, oracle, paths):
-            monkeypatch.setattr(module, "generate_brownian", refuse, raising=False)
+            for name in ("generate_brownian", "simulate_state"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
         spec = get_problem("nonconvex-diffusion")
         config = MSAConfig(M=300, depth=6, N_max=6, seed=3)
         res = remainder_experiment(spec, spec.domain.size - 1, 0.5, [0.25, 0.125], config)
         assert len(res.rows) == 2
+
+    def test_shared_window_under_contention(self, path_split):
+        # four workers on (at most) two CPUs, switching threads every
+        # microsecond, write disjoint columns of one window
+        import sys
+        import threading
+
+        spec = get_problem("nonconvex-diffusion")
+        grid = TimeGrid(T=1.0, depth=5)
+        path_split(cpus=1, per_worker=75)
+        serial = stream_states(spec, grid, self.M, 3, 1, range(4, 30))
+        record = path_split(cpus=4, per_worker=75)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: results.extend(
+                stream_states(spec, grid, self.M, 3, 1, range(4, 30)) for _ in range(5)
+            ), daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(results) == 5
+        assert len(record.ranges) == 4 * 5
+        for window, low, high in results:
+            assert np.array_equal(window, serial[0]) and (low, high) == serial[1:]
 
 
 class TestCost:
