@@ -344,7 +344,7 @@ def _lattice_interp(x: Array, xs: Array, fp: Array) -> Array:
     return out
 
 
-def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
+def _conditional_remainder(spec, u_index, tau, eps_list, config):
     """Conditional CRN estimator for scalar problems with a constant base
     control.
 
@@ -363,7 +363,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
     # still sums its own steps in ascending order from zero.
     rows = range(min((lo for lo, _ in ranges), default=0), max((hi for _, hi in ranges), default=0))
     window, *bounds = stream_states(spec, grid, config.M, config.seed, u_index, rows)
-    xs, S, b_sel, s2_sel = _scalar_value_fields(spec, grid, bounds, u_index, nx)
+    xs, S, b_sel, s2_sel = _scalar_value_fields(spec, grid, bounds, u_index, _LATTICE_NODES)
     dx = xs[1] - xs[0]
     gap_paths = [np.zeros(config.M) for _ in ranges]
 
@@ -376,7 +376,7 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config, nx):
 
     _split_paths(config.M, accumulate)
     for eps, (lo, hi), gap_path in zip(eps_list, ranges, gap_paths):
-        delta = np.zeros(nx)
+        delta = np.zeros(_LATTICE_NODES)
         for i in range(hi - 1, lo - 1, -1):
             delta = _cn_step(delta, b_sel[i], s2_sel[i], S[i], grid.dt, dx)
         if not np.isfinite(delta).all():
@@ -390,7 +390,6 @@ def remainder_experiment(
     tau: float,
     eps_list: Sequence[float],
     config: MSAConfig,
-    nx: int = _LATTICE_NODES,
 ) -> RemainderResult:
     """Measure R(eps) = J(u_spike) - J(u) - E int_E gap dt and fit its order.
 
@@ -401,7 +400,7 @@ def remainder_experiment(
     excluded from the fit.
     """
     if isinstance(u, (int, np.integer)) and spec.n == 1 and spec.d == 1:
-        samples = _conditional_remainder(spec, int(u), tau, eps_list, config, nx)
+        samples = _conditional_remainder(spec, int(u), tau, eps_list, config)
     else:
         samples = _direct_remainder(spec, u, tau, eps_list, config)
     rows, ses = [], []
@@ -436,7 +435,8 @@ def variational_simulate(
     """Euler-integrate the two variational SDEs and the spike-expansion defect.
 
     X is the base control's simulated ensemble; the base control is its
-    ``control_values``, spiked on the steps [lo, hi).  Returns
+    ``control_values``, spiked on the steps [lo, hi).  X1 and X2 start at zero
+    and are forced only on the spike, so they are zero up to step lo.  Returns
     (VariationalEnsemble, e) with e = mean over paths of sup_i |X_spike - X - X1 - X2|^2.
     """
     c = spec.coefficients
@@ -445,58 +445,31 @@ def variational_simulate(
             raise ValueError(f"second derivative {name} required for variational SDEs")
     lo, hi = step_range
     u_vals = X.control_values
-    steps, M = u_vals.shape
-    n = spec.n
     dt = grid.dt
     pts = spec.domain.points
 
     cand = spike_control(ControlProcess(u_vals, spec.domain.size), gaps, (lo, hi))
     X_sp = simulate_state(spec, grid, W, cand)
 
-    X1 = np.zeros((steps + 1, M, n))
-    X2 = np.zeros((steps + 1, M, n))
-    for i in range(steps):
-        t = i * dt
-        xi = X.states[i]
-        ui = pts[u_vals[i]]
-        vi = pts[gaps.argmin_indices[i]]
-        on = 1.0 if lo <= i < hi else 0.0
-        dw = W.increments[i]  # (M, d)
-
+    X1 = np.zeros(X.states.shape)
+    X2 = np.zeros(X.states.shape)
+    for i in range(lo, grid.steps):
+        t, xi, ui = i * dt, X.states[i], pts[u_vals[i]]
+        x1, x2, dw = X1[i], X2[i], W.increments[i]
         b_x = np.asarray(c.b_x(t, xi, ui))
         sigma_x = np.asarray(c.sigma_x(t, xi, ui))
-        b_xx = np.asarray(c.b_xx(t, xi, ui))
-        sigma_xx = np.asarray(c.sigma_xx(t, xi, ui))
-        sig_u = np.asarray(c.sigma(t, xi, ui))
-        x1 = X1[i]
-        x2 = X2[i]
-
-        if on:
-            sig_hat = np.asarray(c.sigma(t, xi, vi)) - sig_u
-            b_hat = np.asarray(c.b(t, xi, vi)) - np.asarray(c.b(t, xi, ui))
-            sig_x_hat = np.asarray(c.sigma_x(t, xi, vi)) - sigma_x
-        else:
-            sig_hat = np.zeros_like(sig_u)
-            b_hat = np.zeros((M, n))
-            sig_x_hat = np.zeros_like(sigma_x)
-
-        diff1 = np.einsum("bjld,bl->bjd", sigma_x, x1) + sig_hat
-        X1[i + 1] = x1 + np.einsum("bjl,bl->bj", b_x, x1) * dt + np.einsum(
-            "bjd,bd->bj", diff1, dw
-        )
-
-        bxx_q = 0.5 * np.einsum("bjlm,bl,bm->bj", b_xx, x1, x1)
-        sxx_q = 0.5 * np.einsum("bjlmd,bl,bm->bjd", sigma_xx, x1, x1)
-        diff2 = (
-            np.einsum("bjld,bl->bjd", sigma_x, x2)
-            + sxx_q
-            + np.einsum("bjld,bl->bjd", sig_x_hat, x1)
-        )
-        X2[i + 1] = (
-            x2
-            + (np.einsum("bjl,bl->bj", b_x, x2) + b_hat + bxx_q) * dt
-            + np.einsum("bjd,bd->bj", diff2, dw)
-        )
+        bxx_q = 0.5 * np.einsum("bjlm,bl,bm->bj", np.asarray(c.b_xx(t, xi, ui)), x1, x1)
+        sxx_q = 0.5 * np.einsum("bjlmd,bl,bm->bjd", np.asarray(c.sigma_xx(t, xi, ui)), x1, x1)
+        diff1 = np.einsum("bjld,bl->bjd", sigma_x, x1)
+        diff2 = np.einsum("bjld,bl->bjd", sigma_x, x2) + sxx_q
+        drift2 = np.einsum("bjl,bl->bj", b_x, x2)
+        if i < hi:  # the spike's forcing: its change of sigma, of sigma_x and of b
+            vi = pts[gaps.argmin_indices[i]]
+            diff1 += np.asarray(c.sigma(t, xi, vi)) - np.asarray(c.sigma(t, xi, ui))
+            diff2 += np.einsum("bjld,bl->bjd", np.asarray(c.sigma_x(t, xi, vi)) - sigma_x, x1)
+            drift2 += np.asarray(c.b(t, xi, vi)) - np.asarray(c.b(t, xi, ui))
+        X1[i + 1] = x1 + np.einsum("bjl,bl->bj", b_x, x1) * dt + np.einsum("bjd,bd->bj", diff1, dw)
+        X2[i + 1] = x2 + (drift2 + bxx_q) * dt + np.einsum("bjd,bd->bj", diff2, dw)
 
     defect = X_sp.states - X.states - X1 - X2
     e = float(np.mean(np.max(np.sum(defect**2, axis=2), axis=0)))

@@ -1,6 +1,7 @@
 """Shared builders for small scalar test problems."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from msa_control import (
     LQSpec,
     MSAConfig,
     ProblemSpec,
+    RegressionBasis,
     TimeGrid,
     dyadic_interval,
     evaluate_cost,
     generate_brownian,
+    get_lq,
     get_problem,
+    lq_closed_form_adjoint,
+    lq_embed,
     prepare_state,
     simulate_state,
     spike_control,
@@ -90,6 +95,24 @@ def coupled_lq2d():
         g=lambda t, u: 0.1 * np.sum(u**2, axis=1),
         domain=ControlDomain(np.array(pts)),
     )
+
+
+@functools.cache
+def lq_oracle_sweep(name):
+    """(spec, grid, X, u, regression adjoints, closed-form adjoints) from the last
+    control point at G=6, seed 7, each an (AdjointFirst, AdjointSecond) pair, built
+    once per session: lq-scalar at M=10k, coupled-2d at M=2000 (with 24 control
+    points, its two gap sweeps take about 10 s at M=10k)."""
+    from msa_control.adjoint import _collect
+
+    lq, M = {"lq-scalar": (get_lq("lq-scalar"), 10_000), "coupled-2d": (coupled_lq2d(), 2000)}[name]
+    spec = lq_embed(lq)
+    grid = TimeGrid(T=spec.T, depth=6)
+    W = generate_brownian(grid, M, spec.d, 7)
+    u = ControlProcess.constant(spec.domain.size - 1, M, grid.steps, spec.domain.size)
+    X = simulate_state(spec, grid, W, u)
+    regressed = _collect(spec, grid, X, u, RegressionBasis(), W)
+    return spec, grid, X, u, regressed, lq_closed_form_adjoint(lq, grid, X, u)
 
 
 def nan_at_level_one_candidate():

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from msa_control.cli import (
-    _KEYS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, ConfigError, _resolve, main,
+    _KEYS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, ConfigError, _load_json, _resolve, main,
 )
 
 from conftest import nan_at_level_one_candidate
@@ -360,6 +360,10 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--config", "x.json"])
         assert exc.value.code == 2
+
+    def test_no_config_reads_as_empty(self):
+        # without --config every key takes its default (a full default run is too slow here)
+        assert _load_json(None) == {}
 
 
 # Every subcommand's smallest run; each fuzz case below changes one key.  The

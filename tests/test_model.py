@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from msa_control import (
     ControlDomain,
     LQSpec,
     ShapeError,
+    ValidationCheck,
+    ValidationReport,
     lq_embed,
     validate_spec,
 )
@@ -75,6 +79,13 @@ class TestValidateSpec:
         with pytest.raises(ShapeError, match="sigma"):
             validate_spec(bad, samples=2, seed=0)
 
+    def test_report_prints_one_line_per_check(self, zero_spec):
+        report = validate_spec(zero_spec, samples=2, seed=0)
+        lines = str(report).splitlines()
+        assert len(lines) == len(report.checks)
+        assert lines[0] == "PASS  shapes  worst=0.000e+00"
+        assert str(ValidationReport([ValidationCheck("x", False, 1.5)])) == "FAIL  x  worst=1.500e+00"
+
     def test_deterministic_given_seed(self, zero_spec):
         r1 = validate_spec(zero_spec, samples=6, seed=9)
         r2 = validate_spec(zero_spec, samples=6, seed=9)
@@ -129,3 +140,35 @@ class TestLQEmbed:
         a = spec.coefficients.f(0.3, x, u)
         b = spec.coefficients.f(0.3, x, u)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: dataclasses.replace(scalar_spec(), n=0), ValueError, "dimensions"),
+        (lambda: dataclasses.replace(scalar_spec(), d=-1), ValueError, "dimensions"),
+        (lambda: dataclasses.replace(scalar_spec(), k=0), ValueError, "dimensions"),
+        (
+            lambda: dataclasses.replace(scalar_spec(), domain=ControlDomain(np.array([[0.0, 1.0]]))),
+            ShapeError,
+            "dimension 2, expected k=1",
+        ),
+        (lambda: validate_spec(scalar_spec(), samples=0), ValueError, "samples"),
+        (
+            lambda: lq_embed(unit_lq(
+                n=2, k=1, x0=[0.0, 0.0],
+                b1=lambda t: np.zeros((2, 2)),
+                b2=lambda t: np.zeros(2),
+                G=lambda t: np.array([[1.0, 0.5], [0.0, 1.0]]),
+                Gamma=np.eye(2),
+                sigma_u=lambda t, u: np.zeros((u.shape[0], 2, 1)),
+            )),
+            ValueError,
+            r"G\(t\) must be symmetric",
+        ),
+    ],
+    ids=["n=0", "d=-1", "k=0", "domain-k", "samples=0", "asymmetric-G"],
+)
+def test_invalid_input_rejected(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -438,3 +438,34 @@ class TestSerialization:
             IterationRecord(m=1, J=1.0, mu=0.0, N=0, j=0, accepted=False, wall_time=0.0),
         ]
         assert not check_descent_log(bad, 1.0)
+        # only accepted rows are held to the inequality
+        rejected_then_worse = [
+            IterationRecord(m=0, J=1.0, mu=-0.5, N=1, j=1, accepted=False, wall_time=0.0),
+            IterationRecord(m=1, J=2.0, mu=-0.5, N=0, j=0, accepted=False, wall_time=0.0),
+        ]
+        assert check_descent_log(rejected_then_worse, 1.0)
+
+
+_GAPS = GapProcess(np.zeros((16, 3)), np.zeros((16, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: spike_control(ControlProcess.constant(0, 3, 16, 3), _GAPS, (4, 2)), "misaligned"),
+        (lambda: spike_control(ControlProcess.constant(0, 3, 16, 3), _GAPS, (8, 17)), "misaligned"),
+        (lambda: find_descent_interval(_GAPS, -1.0, 0, TimeGrid(T=1.0, depth=4), 1.0), "N=0 outside 1..4"),
+        (lambda: find_descent_interval(_GAPS, -1.0, 5, TimeGrid(T=1.0, depth=4), 1.0), "N=5 outside 1..4"),
+        (
+            lambda: _initial_control(
+                scalar_spec(), TimeGrid(T=1.0, depth=2),
+                generate_brownian(TimeGrid(T=1.0, depth=2), 3, 1, 0), "best-constant",
+            ),
+            "unknown initializer 'best-constant'",
+        ),
+    ],
+    ids=["reversed-range", "past-last-step", "N=0", "N>depth", "unknown-initializer"],
+)
+def test_invalid_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -192,7 +192,7 @@ class TestRemainderExperiment:
         results = {}
         for workers in (1, 2, 3):
             record = path_split(cpus=workers, per_worker=300)
-            res = remainder_experiment(spec, spec.domain.size - 1, 0.5, eps_list, config, nx=201)
+            res = remainder_experiment(spec, spec.domain.size - 1, 0.5, eps_list, config)
             results[workers] = (
                 [R.hex() for _, R, _ in res.rows], [s.hex() for s in res.standard_errors]
             )
@@ -297,6 +297,55 @@ class TestVariationalSimulate:
         expect[lo + 1 : hi + 1] = run
         expect[hi + 1 :] = run[-1:]
         np.testing.assert_allclose(ens.X1[:, :, 0], expect, atol=1e-14)
+
+    def test_expansion_bits_pinned(self):
+        # random base controls and argmins on a scalar and an n = d = k = 2
+        # problem; one interval starts at step 0 and one ends at the last step
+        # (coupled-lq2d has sigma_x = b_xx = sigma_xx = 0, so its X2 stays zero)
+        import hashlib
+
+        def sha(a):
+            return hashlib.sha256(a.tobytes()).hexdigest()
+
+        pins = {
+            "nonconvex-diffusion": [
+                ("0x1.11363b8c34285p-10",
+                 "82ee9f0cc86e204af6f6fb72571c339772edb927f30a307ed879679f56a4506a",
+                 "3e2af2f64ee29e00c30491b091e155571bf2055471f87b4d835fd3ac97e03d24"),
+                ("0x1.18c886a03ca4fp-9",
+                 "1ef65815e7d6d27be3e4691200b1cfa74aa71d103c4ec5cabc9142223a601973",
+                 "05137371eb0fccc518013e3d44d3372c99404a362ba17a84844b5f063225668c"),
+                ("0x1.a21854c10e1f7p-16",
+                 "9a1c2cd20ceeca25f3fd7618f64ad8f08aebc80208f303a03cf325f0143b0067",
+                 "9eaf80f3aa0bb8288d4c0c3964d88fe6467162e3a7bdee1de35017f7da043a50"),
+            ],
+            "coupled-lq2d": [
+                ("0x1.707b4377ae148p-102",
+                 "93217fde8e3629368a3ed21f26801daac700242cf95732de61c9149b5b431e10",
+                 "9ff88aa55e58df7d6774efc6baf1f556db1546d3d0a1fe3d7c87c2466b9087c7"),
+                ("0x1.fc5eda81b4e82p-103",
+                 "17b452404e3b5f50ece7ad33815d6f23c81e4d921e0e389a1994bd2971fd2596",
+                 "9ff88aa55e58df7d6774efc6baf1f556db1546d3d0a1fe3d7c87c2466b9087c7"),
+                ("0x1.9f11aeeeeeeefp-104",
+                 "8d087d01831bdf5784935ab19c1cb0707059edc988a0d97d8d83e2b7109cfeb3",
+                 "9ff88aa55e58df7d6774efc6baf1f556db1546d3d0a1fe3d7c87c2466b9087c7"),
+            ],
+        }
+        specs = {"nonconvex-diffusion": get_problem("nonconvex-diffusion"),
+                 "coupled-lq2d": lq_embed(coupled_lq2d())}
+        for name, spec in specs.items():
+            grid = TimeGrid(T=spec.T, depth=5)
+            M, V = 300, spec.domain.size
+            W = generate_brownian(grid, M, spec.d, 3)
+            rng = np.random.default_rng(3)
+            u = ControlProcess(rng.integers(V, size=(grid.steps, M)), V)
+            gaps = GapProcess(np.zeros((grid.steps, M)), rng.integers(V, size=(grid.steps, M)))
+            X = simulate_state(spec, grid, W, u)
+            got = []
+            for step_range in ((0, 8), (12, 20), (24, 32)):
+                ens, e = variational_simulate(spec, grid, W, X, gaps, step_range)
+                got.append((e.hex(), sha(ens.X1), sha(ens.X2)))
+            assert got == pins[name], name
 
     def test_missing_second_derivatives_rejected(self):
         import dataclasses

@@ -511,3 +511,30 @@ class TestControlProcess:
         assert spiked.values.flags.writeable
         assert np.all(u.values == 1)
         assert np.all(spiked.values[:4] == 1) and np.all(spiked.values[4:] == 2)
+
+
+_GRID = TimeGrid(T=1.0, depth=2)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: generate_brownian(_GRID, 0, 1, 0), ValueError, "M must be >= 1"),
+        (
+            lambda: simulate_state(scalar_spec(), _GRID, generate_brownian(_GRID, 3, 1, 0),
+                                   ControlProcess.constant(0, 2, _GRID.steps, 3)),
+            ProvenanceError,
+            r"control shape \(4, 2\) does not match ensemble \(4, 3\)",
+        ),
+        (
+            lambda: simulate_state(scalar_spec(), _GRID, generate_brownian(_GRID, 3, 1, 0),
+                                   ControlProcess.constant(0, 3, 8, 3)),
+            ProvenanceError,
+            r"control shape \(8, 3\) does not match ensemble \(4, 3\)",
+        ),
+    ],
+    ids=["M=0", "paths", "steps"],
+)
+def test_invalid_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
