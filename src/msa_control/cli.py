@@ -314,6 +314,11 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        # the subcommands create --out after their run: refuse one that cannot be a directory
+        out = Path(args.out).absolute()
+        found = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+        if not found.is_dir():
+            raise ConfigError(f"--out {args.out}: {found} is not a directory")
         # every stage checks finiteness and raises a one-line cause
         with np.errstate(all="ignore"):
             return args.fn(args)

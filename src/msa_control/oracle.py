@@ -362,7 +362,8 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config):
     # kept, and one pass over it interpolates each step once; every interval
     # still sums its own steps in ascending order from zero.
     rows = range(min((lo for lo, _ in ranges), default=0), max((hi for _, hi in ranges), default=0))
-    window, *bounds = stream_states(spec, grid, config.M, config.seed, u_index, rows)
+    u = ControlProcess.constant(u_index, config.M, grid.steps, spec.domain.size)
+    window, *bounds = stream_states(spec, grid, config.seed, u, rows)
     xs, S, b_sel, s2_sel = _scalar_value_fields(spec, grid, bounds, u_index, _LATTICE_NODES)
     dx = xs[1] - xs[0]
     gap_paths = [np.zeros(config.M) for _ in ranges]

@@ -12,10 +12,10 @@ adjoints and gaps) is time-major, (steps, M, .), so the per-step slice
 
 Euler simulation and the remainder's per-path sums give each usable CPU a
 thread and a contiguous path range once M >= 2 * _PATHS_PER_WORKER (numpy
-drops the interpreter lock in its loops).  stream_states holds neither W nor X: each
-worker draws and steps _STREAM_BLOCK paths at a time, keeping the steps asked for and a
-running min and max.  No Euler operation reduces across paths and path p always draws
-the (seed, p) stream, so the bits depend neither on the CPUs nor on the block.
+drops the interpreter lock in its loops).  The one Euler loop, stream_states(spec,
+grid, W, u, rows), steps _STREAM_BLOCK paths per worker at a time on W's increments,
+or draws them if W is a seed.  No Euler operation reduces across paths and path p always
+draws the (seed, p) stream, so the bits depend neither on the CPUs nor on the block.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ Array = np.ndarray
 
 # Paths drawn per block before the block is copied into the time-major buffer.
 _BROWNIAN_BLOCK = 512
-_STREAM_BLOCK = 8192  # paths a stream_states worker draws and steps at a time
+_STREAM_BLOCK = 8192  # paths a stream_states worker steps (and, if seeded, draws) at a time
 # Fewest paths per thread.  Two threads step lq-scalar (the cheapest
 # coefficients) at 0.77x the serial speed at M=16384 and 1.2x at M=32768.
 _PATHS_PER_WORKER = 16384
@@ -129,7 +129,9 @@ class ControlProcess:
 
     def __post_init__(self):
         vals = np.asarray(self.values)
-        if vals.min() < 0 or vals.max() >= self.num_points:
+        # a zero-stride (broadcast) axis repeats one element: check it once
+        once = vals[tuple(slice(None) if s else slice(0, 1) for s in vals.strides)]
+        if once.min() < 0 or once.max() >= self.num_points:
             raise ValueError("control index out of domain range")
         object.__setattr__(self, "values", vals.astype(np.int64, copy=False))
 
@@ -186,55 +188,45 @@ def simulate_state(
     spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble, u: ControlProcess
 ) -> StateEnsemble:
     """Euler-Maruyama: X_{i+1} = X_i + b dt + sigma dW_i, X_0 = x0."""
-    M, steps = W.M, W.steps
-    if u.values.shape != (steps, M):
+    if u.values.shape != (W.steps, W.M):
         raise ProvenanceError(
-            f"control shape {u.values.shape} does not match ensemble ({steps}, {M})"
+            f"control shape {u.values.shape} does not match ensemble ({W.steps}, {W.M})"
         )
-    pts = spec.domain.points
-    X = np.empty((steps + 1, M, spec.n))
-    X[0] = spec.x0
-
-    def step_range(lo, hi):
-        for i in range(steps):
-            u_pts, dw = pts[u.values[i, lo:hi]], W.increments[i, lo:hi]
-            _euler_step(spec, grid, i, X[i, lo:hi], u_pts, dw, out=X[i + 1, lo:hi])
-
-    _split_paths(M, step_range)
-    # min and max propagate NaN and show +-inf without a full-size mask
-    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
-        bad = ~np.isfinite(X).all(axis=2)
-        p = int(np.argmax(bad.any(axis=0)))
-        raise SimulationError(f"non-finite state at path {p}, step {np.argmax(bad[:, p])}")
+    X, _, _ = stream_states(spec, grid, W, u, range(W.steps + 1))
     return StateEnsemble(states=X, control_values=u.values)
 
 
-def stream_states(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int, u_index: int,
-                  rows: range) -> tuple[Array, float, float]:
-    """simulate_state's X under the constant control u_index on generate_brownian(grid,
-    M, spec.d, seed) as (X[rows], X.min(), X.max()), raising as simulate_state does."""
-    if not 0 <= u_index < spec.domain.size:
-        raise ValueError("control index out of domain range")
+def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
+                  u: ControlProcess, rows: range) -> tuple[Array, float, float]:
+    """simulate_state's X under u on W, or on generate_brownian(grid, M, spec.d, W)
+    if W is a seed, as (X[rows], X.min(), X.max()); raises SimulationError naming
+    the first path with a non-finite state and that path's first such step."""
+    steps, M = u.values.shape
+    pts = spec.domain.points
     window = np.empty((len(rows), M, spec.n))
 
+    def state_row(i, start, end):  # step i of paths start .. end - 1, in the window if kept
+        return window[i - rows.start, start:end] if i in rows else np.empty((end - start, spec.n))
+
     def step_range(lo, hi):
-        buf = np.empty((grid.steps, _STREAM_BLOCK, spec.d))
-        # laid out as simulate_state's per-step gather, but built once
-        u_pts = np.repeat(spec.domain.points[u_index : u_index + 1], _STREAM_BLOCK, axis=0)
+        buf = None if isinstance(W, BrownianEnsemble) else np.empty((steps, _STREAM_BLOCK, spec.d))
         low, high = np.inf, -np.inf
         for start in range(lo, hi, _STREAM_BLOCK):
-            b = min(_STREAM_BLOCK, hi - start)
-            dw = _fill_brownian(buf[:, :b], start, seed, grid.dt)
-            x, bad_at = np.full((b, spec.n), spec.x0), np.full(b, -1)  # first non-finite steps
-            for i in range(grid.steps + 1):
-                x = _euler_step(spec, grid, i - 1, x, u_pts[:b], dw[i - 1]) if i else x
+            end = min(start + _STREAM_BLOCK, hi)
+            dw = (W.increments[:, start:end] if buf is None
+                  else _fill_brownian(buf[:, : end - start], start, W, grid.dt))
+            x, bad_at = state_row(0, start, end), np.full(end - start, -1)  # first non-finite steps
+            x[...] = spec.x0
+            for i in range(steps + 1):
+                if i:
+                    u_pts = np.take(pts, u.values[i - 1, start:end], axis=0)
+                    out = state_row(i, start, end)
+                    x = _euler_step(spec, grid, i - 1, x, u_pts, dw[i - 1], out=out)
                 row = x.min(), x.max()
                 # NaN and +-inf show in min or max and persist: only such rows need the mask
                 if not np.isfinite(row).all():
                     bad_at[(bad_at < 0) & ~np.isfinite(x).all(axis=1)] = i
                 low, high = min(low, row[0]), max(high, row[1])
-                if i in rows:
-                    window[i - rows.start, start : start + b] = x
             if bad_at.max() >= 0:
                 p = int(np.argmax(bad_at >= 0))
                 raise SimulationError(f"non-finite state at path {start + p}, step {bad_at[p]}")

@@ -361,6 +361,26 @@ class TestParser:
             main(["solve", "--config", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("out, taken", [("file", "file"), ("file/sub", "file"),
+                                            ("dangling", "dangling")],
+                             ids=["file", "under-file", "dangling-link"])
+    def test_out_not_a_directory_exits_config(self, tmp_path, capsys, monkeypatch, out, taken):
+        # refused before the run, which would create --out only at its end
+        import msa_control.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("run_msa called")
+
+        monkeypatch.setattr(cli, "run_msa", refuse)
+        (tmp_path / "file").write_text("kept")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        rc = main(["solve", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --out {tmp_path / out}: {tmp_path / taken} is not a directory\n"
+        )
+        assert (tmp_path / "file").read_text() == "kept"
+
     def test_no_config_reads_as_empty(self):
         # without --config every key takes its default (a full default run is too slow here)
         assert _load_json(None) == {}

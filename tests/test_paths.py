@@ -1,4 +1,7 @@
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ from msa_control import (
 from msa_control import paths
 from msa_control.paths import _BROWNIAN_BLOCK, stream_states
 
-from conftest import scalar_spec
+from conftest import coupled_lq2d, scalar_spec
 
 
 class TestTimeGrid:
@@ -259,10 +262,11 @@ class TestStreamedSimulation:
         grid = TimeGrid(T=1.0, depth=5)
         for spec in (get_problem("nonconvex-diffusion"), rising):
             u = ControlProcess.constant(1, self.M, grid.steps, spec.domain.size)
-            X = simulate_state(spec, grid, generate_brownian(grid, self.M, 1, 3), u).states
-            for rows in (range(5, 19), range(0, grid.steps + 1)):
+            W = generate_brownian(grid, self.M, 1, 3)
+            X = simulate_state(spec, grid, W, u).states
+            for rows, source in itertools.product((range(5, 19), range(0, grid.steps + 1)), (3, W)):
                 record = path_split(cpus=workers, per_worker=100)
-                window, low, high = stream_states(spec, grid, self.M, 3, 1, rows)
+                window, low, high = stream_states(spec, grid, source, u, rows)
                 assert len(record.ranges) == (workers if workers > 1 else 0)
                 assert np.array_equal(window, X[rows.start : rows.stop])
                 assert (low, high) == (X.min(), X.max())
@@ -287,13 +291,26 @@ class TestStreamedSimulation:
                 simulate_state(spec, grid, generate_brownian(grid, self.M, 1, 3), u)
             path_split(cpus=workers, per_worker=100)
             with pytest.raises(SimulationError, match=named):
-                stream_states(spec, grid, self.M, 3, 2, range(3, 9))
+                stream_states(spec, grid, 3, u, range(3, 9))
 
-    def test_control_index_checked(self):
-        spec = get_problem("nonconvex-diffusion")
-        for u_index in (-1, 2):
-            with pytest.raises(ValueError, match="out of domain range"):
-                stream_states(spec, TimeGrid(T=1.0, depth=3), self.M, 3, u_index, range(2))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_frozen_states_pinned(self, path_split, workers):
+        # SHA-256 of X from an Euler loop that stepped each worker's whole path
+        # range at once: the 64-path blocks are checked against another loop
+        grid = TimeGrid(T=1.0, depth=5)
+        for spec, pinned in (
+            (get_problem("nonconvex-diffusion"),
+             "1a01570542ad820eabd9f24e1deb364953f6d6509be040c378648e35b85c26ba"),
+            (lq_embed(coupled_lq2d()),
+             "997be89e47e42d8dcc1fac4b78f80f4c3b1a1c1aab039b90cea03a75ddea9d25"),
+        ):
+            values = np.random.default_rng(0).integers(0, spec.domain.size, (grid.steps, self.M))
+            u = ControlProcess(values, spec.domain.size)
+            W = generate_brownian(grid, self.M, spec.d, 3)
+            record = path_split(cpus=workers, per_worker=100)
+            X = simulate_state(spec, grid, W, u).states
+            assert len(record.ranges) == (workers if workers > 1 else 0)
+            assert hashlib.sha256(X.tobytes()).hexdigest() == pinned
 
     def test_conditional_remainder_draws_no_ensemble(self, monkeypatch):
         from msa_control import msa, oracle
@@ -318,14 +335,15 @@ class TestStreamedSimulation:
         spec = get_problem("nonconvex-diffusion")
         grid = TimeGrid(T=1.0, depth=5)
         path_split(cpus=1, per_worker=75)
-        serial = stream_states(spec, grid, self.M, 3, 1, range(4, 30))
+        u = ControlProcess.constant(1, self.M, grid.steps, spec.domain.size)
+        serial = stream_states(spec, grid, 3, u, range(4, 30))
         record = path_split(cpus=4, per_worker=75)
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             worker = threading.Thread(target=lambda: results.extend(
-                stream_states(spec, grid, self.M, 3, 1, range(4, 30)) for _ in range(5)
+                stream_states(spec, grid, 3, u, range(4, 30)) for _ in range(5)
             ), daemon=True)
             worker.start()
             worker.join(timeout=60)
@@ -493,8 +511,13 @@ class TestBinaryRoundTrip:
 
 class TestControlProcess:
     def test_index_range_checked(self):
-        with pytest.raises(ValueError):
-            ControlProcess(np.array([[0, 3]]), 3)
+        # broadcast views are checked on one element per zero-stride axis
+        for make in (lambda: ControlProcess(np.array([[0, 3]]), 3),
+                     lambda: ControlProcess.constant(-1, 301, 8, 2),
+                     lambda: ControlProcess.constant(2, 301, 8, 2),
+                     lambda: ControlProcess.deterministic(np.array([0, 1, 2, 1]), 5, 2)):
+            with pytest.raises(ValueError, match="out of domain range"):
+                make()
 
     def test_deterministic_rows_identical(self):
         row = np.array([0, 1, 2, 1])
