@@ -201,6 +201,8 @@ def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
     """simulate_state's X under u on W, or on generate_brownian(grid, M, spec.d, W)
     if W is a seed, as (X[rows], X.min(), X.max()); raises SimulationError naming
     the first path with a non-finite state and that path's first such step."""
+    if u.num_points > spec.domain.size:  # its indices could run past spec's points
+        raise ValueError("control index out of domain range")
     steps, M = u.values.shape
     pts = spec.domain.points
     window = np.empty((len(rows), M, spec.n))

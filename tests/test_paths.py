@@ -312,6 +312,20 @@ class TestStreamedSimulation:
             assert len(record.ranges) == (workers if workers > 1 else 0)
             assert hashlib.sha256(X.tobytes()).hexdigest() == pinned
 
+    def test_control_index_checked(self):
+        # an index outside the domain never reaches the stream, and a control
+        # over a larger domain than spec's is refused by it
+        spec = get_problem("nonconvex-diffusion")
+        grid = TimeGrid(T=1.0, depth=3)
+        V = spec.domain.size
+        for u_index in (-1, V):
+            with pytest.raises(ValueError, match="out of domain range"):
+                stream_states(spec, grid, 3,
+                              ControlProcess.constant(u_index, self.M, grid.steps, V), range(2))
+        wider = ControlProcess.constant(V, self.M, grid.steps, V + 1)
+        with pytest.raises(ValueError, match="out of domain range"):
+            stream_states(spec, grid, 3, wider, range(2))
+
     def test_conditional_remainder_draws_no_ensemble(self, monkeypatch):
         from msa_control import msa, oracle
 
