@@ -178,12 +178,16 @@ def _resolve(cfg, command: str, seed):
         features = config.basis.feature_count(s.n)
         if config.M <= features:
             raise ConfigError(f"M={config.M} must exceed the {features} regression features")
+        # the solver holds W, one candidate X, the gaps and three index arrays;
         # validate remainder's conditional estimator (scalar) keeps no W, but
         # seven (2^G, nx) float arrays on its PDE lattice of nx = _LATTICE_NODES
         lattice = 7 * _LATTICE_NODES if command == "remainder" and s.n == s.d == 1 else 0
-        bits = math.log2((config.M * (s.n + (not lattice) * s.d) + lattice) * 8) + config.depth
+        idx = np.min_scalar_type(s.domain.size - 1).itemsize
+        per_path = s.n * 8 if lattice else (s.n + s.d + 1) * 8 + 3 * idx
+        bits = math.log2(config.M * per_path + lattice * 8) + config.depth
         if bits > math.log2(_MAX_PATH_BYTES):
-            formula = f"(M*n + {lattice} lattice)*2^G*8" if lattice else "M*2^G*(n+d)*8"
+            formula = (f"(M*n + {lattice} lattice)*2^G*8" if lattice
+                       else f"M*2^G*((n+d+1)*8+3*{idx})")
             raise ConfigError(f"M={config.M}, G={config.depth}: paths need about 2^{bits:.1f} "
                               f"bytes ({formula}), over the {_MAX_PATH_BYTES >> 30} GiB limit")
     if config.ridge == 0 and config.degree >= 1:

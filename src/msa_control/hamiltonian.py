@@ -23,7 +23,7 @@ class GapProcess:
     """Pointwise H-function gap and the selected minimizer, per (step, path)."""
 
     values: Array          # (steps, M), all <= 0
-    argmin_indices: Array  # (steps, M) domain indices
+    argmin_indices: Array  # (steps, M) domain indices, in ControlProcess's dtype
 
 
 def _h_terms(p: Array, q: Array, b: Array, sig: Array, f: Array) -> Array:
@@ -126,7 +126,7 @@ def gap_process(
     """
     _check_provenance(X, u)
     values = np.empty(u.values.shape)
-    argmins = np.empty(u.values.shape, dtype=np.int64)
+    argmins = np.empty(u.values.shape, dtype=np.min_scalar_type(spec.domain.size - 1))
     for i, p, q, P, _ in adjoints:
         _check_finite("adjoint", i, p, q, P)
         argmins[i], values[i] = minimize_h(spec, i * grid.dt, X.states[i], p, q, P, u.values[i])

@@ -8,7 +8,8 @@ a spike interval whose candidate control passes the descent acceptance test
 
 evaluated exactly on the frozen ensemble.  The level search restarts at
 N = 1 each iteration.  The accepted candidate's simulated states and cost
-carry over to the next iteration.
+carry over to the next iteration's sweep.  run_msa holds one generation of
+per-path arrays: W, the control, its gaps and one candidate with its states.
 
 The order experiments in ``oracle`` (bar the conditional remainder) share the solver's
 ``_start`` (the ensemble from a config, the simulated start control) and ``prepare_state``.
@@ -79,7 +80,7 @@ def spike_control(
     steps = u.values.shape[0]
     if not (0 <= lo < hi <= steps):
         raise ValueError(f"interval steps [{lo}, {hi}) misaligned with grid of {steps} steps")
-    vals = u.values.copy()
+    vals = u.values.astype(np.result_type(u.values, gaps.argmin_indices))  # a copy, never narrower
     vals[lo:hi] = gaps.argmin_indices[lo:hi]
     return ControlProcess(vals, u.num_points)
 
@@ -148,7 +149,6 @@ class MSAConfig:
 class SolverState:
     m: int
     u: ControlProcess
-    X: StateEnsemble
     gaps: GapProcess
     J: float
     mu: float
@@ -174,7 +174,7 @@ def prepare_state(
     a non-finite J (checked first) or mu raises SimulationError."""
     _require_finite("cost", J, m)
     gaps = gap_process(spec, grid, X, u, adjoint_sweep(spec, grid, X, u, basis, W))
-    state = SolverState(m=m, u=u, X=X, gaps=gaps, J=J, mu=mu(gaps, grid))
+    state = SolverState(m=m, u=u, gaps=gaps, J=J, mu=mu(gaps, grid))
     _require_finite("mu", state.mu, m)
     return state
 
@@ -220,6 +220,7 @@ def msa_step(
                 wall_time=time.perf_counter() - t0,
             )
             return StepOutcome(kind="accepted", record=rec, candidate=(cand, X_cand, J_cand))
+        del cand, X_cand  # released before the next level's candidate is built
     return StepOutcome(kind="exhausted")
 
 
@@ -300,6 +301,7 @@ def run_msa(
     """Iterate msa_step to termination on a frozen Brownian ensemble."""
     grid, W, u, X = _start(spec, config, u0, W)
     state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), config.basis)
+    del u, X  # state holds u; the start's states are not read again
     J0, mu0 = state.J, state.mu
     records: list = []
     termination = "budget"
@@ -309,7 +311,10 @@ def run_msa(
             termination = outcome.kind
             break
         records.append(outcome.record)
-        state = prepare_state(spec, grid, W, *outcome.candidate, config.basis, m=state.m + 1)
+        cand, m = outcome.candidate, state.m + 1
+        # one generation: the old state goes before the sweep, the candidate's X after it
+        state = outcome = None
+        state, cand = prepare_state(spec, grid, W, *cand, config.basis, m=m), None
     # terminal row: final J and mu, re-checkable against the last accepted row
     records.append(
         IterationRecord(

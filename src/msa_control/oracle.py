@@ -167,8 +167,7 @@ def rate_experiment(
     grid, W = run.grid, run.ensemble
     oracle = build_oracle(benchmark, grid)
     u_star = ControlProcess.deterministic(oracle.u_star, config.M, benchmark.domain.size)
-    X_star = simulate_state(spec, grid, W, u_star)
-    pc_star = pathwise_cost(spec, grid, X_star, u_star)
+    pc_star = pathwise_cost(spec, grid, simulate_state(spec, grid, W, u_star), u_star)
     J_star_saa = float(np.sum(pc_star) / config.M)
 
     # noise floor for the log-log fit: MC standard error of a CRN difference
@@ -309,6 +308,7 @@ def _direct_remainder(spec, u, tau, eps_list, config):
     grid, W, u, X = _start(spec, config, u)
     pc_base = pathwise_cost(spec, grid, X, u)
     state = prepare_state(spec, grid, W, u, X, float(np.mean(pc_base)), config.basis)
+    del X  # the eps loop reads only u, the gaps and pc_base
     for eps in eps_list:
         lo, hi = _interval_steps(tau, eps, grid)
         cand = spike_control(u, state.gaps, (lo, hi))

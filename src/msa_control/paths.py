@@ -8,7 +8,8 @@ index order so results are bit-reproducible.
 Every per-path array (increments, states, controls, and downstream the
 adjoints and gaps) is time-major, (steps, M, .), so the per-step slice
 ``[i]`` that the solver loops take is contiguous.  Only the file format of
-``dump_array``/``load_array`` is path-major.
+``dump_array``/``load_array`` is path-major.  Control indices (ControlProcess, GapProcess's
+argmins) take the smallest unsigned type that holds V - 1: uint8 up to V = 256 points.
 
 Euler simulation and the remainder's per-path sums give each usable CPU a
 thread and a contiguous path range once M >= 2 * _PATHS_PER_WORKER (numpy
@@ -124,7 +125,7 @@ def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnse
 class ControlProcess:
     """Pathwise piecewise-constant control, stored as domain indices."""
 
-    values: Array  # (steps, M) int
+    values: Array  # (steps, M)
     num_points: int
 
     def __post_init__(self):
@@ -133,7 +134,11 @@ class ControlProcess:
         once = vals[tuple(slice(None) if s else slice(0, 1) for s in vals.strides)]
         if once.min() < 0 or once.max() >= self.num_points:
             raise ValueError("control index out of domain range")
-        object.__setattr__(self, "values", vals.astype(np.int64, copy=False))
+        # narrowed after the check (-1 must not wrap); a broadcast view stays one
+        narrow = once.astype(np.min_scalar_type(self.num_points - 1), copy=False)
+        if narrow.shape != vals.shape:
+            narrow = np.broadcast_to(narrow, vals.shape)
+        object.__setattr__(self, "values", narrow)
 
     @classmethod
     def constant(cls, index: int, M: int, steps: int, num_points: int) -> "ControlProcess":

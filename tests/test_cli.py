@@ -256,6 +256,16 @@ class TestValidate:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_solver_footprint_counts_what_the_solver_holds(self, command):
+        # lq-scalar (n = d = 1, 21 points in uint8) holds W, one candidate's
+        # states, the gap values and three index arrays: 3*8 + 3 = 27 bytes
+        # per path and step, so at G=20 the 2^34 bytes fit M = 606 paths
+        assert _resolve({"M": 606, "G": 20}, command, None)[1].M == 606
+        with pytest.raises(ConfigError, match=r"^M=607, G=20: paths need about 2\^34\.0 bytes "
+                                              r"\(M\*2\^G\*\(\(n\+d\+1\)\*8\+3\*1\)\), over"):
+            _resolve({"M": 607, "G": 20}, command, None)
+
     def test_remainder_footprint_counts_streamed_paths(self):
         # nonconvex-diffusion (n = d = 1) at G=9: 2^34 bytes hold 2^22 floats
         # per step, so M*(n+d) + 7*2001 passes them above M = 2090148 and

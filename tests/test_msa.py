@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ class TestMsaStep:
         W = generate_brownian(grid, 50, 1, 0)
         u = ControlProcess.constant(0, 50, grid.steps, spec.domain.size)
         gaps = GapProcess(np.zeros((8, 50)), np.zeros((8, 50), dtype=np.int64))
-        state = SolverState(m=0, u=u, X=None, gaps=gaps, J=1.0, mu=0.0)
+        state = SolverState(m=0, u=u, gaps=gaps, J=1.0, mu=0.0)
         out = msa_step(spec, grid, W, state, MSAConfig(M=50, depth=3, N_max=3))
         assert out.kind == "converged"
 
@@ -192,7 +193,7 @@ class TestMsaStep:
         gaps = GapProcess(
             np.full((8, 50), -1.0), np.zeros((8, 50), dtype=np.int64)
         )  # argmin = current control: spikes are no-ops
-        state = SolverState(m=0, u=u, X=X, gaps=gaps, J=J, mu=-1.0)
+        state = SolverState(m=0, u=u, gaps=gaps, J=J, mu=-1.0)
         out = msa_step(spec, grid, W, state, MSAConfig(M=50, depth=3, N_max=3))
         assert out.kind == "exhausted"
 
@@ -209,7 +210,7 @@ class TestMsaStep:
         argmins[:4] = 4
         argmins[4:] = 20
         gaps = GapProcess(np.full((8, 200), -1e-3), argmins)
-        state = SolverState(m=0, u=u, X=X, gaps=gaps, J=J, mu=mu(gaps, grid))
+        state = SolverState(m=0, u=u, gaps=gaps, J=J, mu=mu(gaps, grid))
         out = msa_step(spec, grid, W, state, MSAConfig(M=200, depth=3, N_max=3))
         assert out.kind == "accepted"
         assert (out.record.N, out.record.j) == (2, 1)
@@ -282,6 +283,20 @@ class TestRunMsa:
         config = MSAConfig(M=300, depth=5, N_max=5, seed=3)
         run = run_msa(get_problem(name), config, "worst-constant")
         assert (run.J_final.hex(), run.mu_final.hex()) == (J_hex, mu_hex)
+
+    def test_peak_holds_one_generation(self):
+        # W, the gaps and one candidate's states are the float64 per-path
+        # arrays an iteration reads; the control indices are uint8.  Holding
+        # two generations of control, gaps and states peaked at 11.1 arrays.
+        config = MSAConfig(M=1000, depth=7, m_max=4, seed=7)
+        tracemalloc.start()
+        try:
+            run = run_msa(get_problem("nonconvex-diffusion"), config, "worst-constant")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(r.accepted for r in run.records) >= 2
+        assert peak <= 5 * (1 << config.depth) * config.M * 8
 
     def test_zero_budget(self):
         spec = lq_embed(get_lq("lq-scalar"))

@@ -22,6 +22,7 @@ from msa_control import (
     load_array,
     lq_embed,
     pathwise_cost,
+    prepare_state,
     remainder_experiment,
     simulate_state,
     spike_control,
@@ -548,6 +549,48 @@ class TestControlProcess:
         assert spiked.values.flags.writeable
         assert np.all(u.values == 1)
         assert np.all(spiked.values[:4] == 1) and np.all(spiked.values[4:] == 2)
+
+    @pytest.mark.parametrize("V, dtype", [(2, np.uint8), (21, np.uint8), (256, np.uint8),
+                                          (257, np.uint16), (300, np.uint16)])
+    def test_index_dtype_fits_the_grid(self, V, dtype):
+        full = np.tile(np.arange(8) % V, (5, 1)).T
+        for u in (ControlProcess(full, V), ControlProcess.constant(V - 1, 5, 8, V),
+                  ControlProcess.deterministic(np.arange(8) % V, 5, V)):
+            assert u.values.dtype == dtype
+        assert np.array_equal(ControlProcess(full, V).values, full)
+
+    def test_views_keep_zero_strides(self):
+        u = ControlProcess.constant(20, 301, 8, 21)
+        assert u.values.strides == (0, 0) and u.values[3, 7] == 20
+        row = np.array([0, 299, 5, 256])
+        u = ControlProcess.deterministic(row, 301, 300)
+        assert u.values.strides == (2, 0) and np.array_equal(u.values[:, 7], row)
+
+    def test_range_checked_before_narrowing(self):
+        # at V = 256 the uint8 image of -1 is 255 = V - 1, a valid index
+        for index in (-1, 256):
+            for make in (lambda: ControlProcess.constant(index, 4, 8, 256),
+                         lambda: ControlProcess.deterministic(np.array([0, index]), 4, 256),
+                         lambda: ControlProcess(np.full((8, 4), index), 256)):
+                with pytest.raises(ValueError, match="out of domain range"):
+                    make()
+
+    @pytest.mark.parametrize("V, dtype", [(21, np.uint8), (300, np.uint16)])
+    def test_gaps_and_spike_keep_the_control_dtype(self, V, dtype):
+        # the H-minimizer sits near 0.9, above index 255 when V = 300
+        spec = scalar_spec(sigma=lambda t, x, u: u, f=lambda t, x, u: (u - 0.9) ** 2,
+                           Phi=lambda x: x**2, domain=np.linspace(-1.0, 1.0, V))
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, 50, 1, 0)
+        u = ControlProcess.constant(0, 50, grid.steps, V)
+        X = simulate_state(spec, grid, W, u)
+        state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u),
+                              MSAConfig(M=50, depth=3).basis)
+        assert state.gaps.argmin_indices.dtype == dtype
+        assert state.gaps.argmin_indices.max() == round(0.95 * (V - 1))
+        cand = spike_control(u, state.gaps, (0, grid.steps))
+        assert cand.values.dtype == dtype
+        assert np.array_equal(cand.values, state.gaps.argmin_indices)
 
 
 _GRID = TimeGrid(T=1.0, depth=2)
