@@ -38,7 +38,6 @@ from .msa import (
     prepare_state,
     records_from_csv,
     records_to_csv,
-    records_to_json,
     run_msa,
     spike_control,
 )
@@ -65,7 +64,7 @@ from .paths import (
     SimulationError,
     StateEnsemble,
     TimeGrid,
-    dump_array,
+    array_bytes,
     empirical_moment,
     evaluate_cost,
     generate_brownian,

@@ -1,9 +1,11 @@
 """Command-line front end: solve, bench and validate subcommands.
 
-Configs are JSON; tabular outputs are CSV; controls are dumped in the flat
-binary format of the paths module.  Identical invocations produce identical
-outputs (per-iteration wall times excepted; run timestamps live in the
-summary metadata only).
+Configs are JSON; an inline LQ problem's numbers must be JSON numbers.  Each
+subcommand returns its exit code and its files, {name: text, bytes or a JSON
+value}; main alone creates --out and writes them, once the run has returned.
+Tables are CSV (msa.to_csv), controls the flat binary of paths.array_bytes.
+Identical invocations produce identical outputs (per-iteration wall times
+excepted; run timestamps live in the summary metadata only).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ import numpy as np
 from . import registry
 from .adjoint import RegressionRankError
 from .model import ControlDomain, LQSpec, ProblemSpec, lq_embed
-from .msa import MSAConfig, records_to_csv, records_to_json, run_msa
+from .msa import MSAConfig, records_to_csv, run_msa, to_csv
 from .oracle import (
     _LATTICE_NODES,
     rate_experiment,
@@ -30,7 +33,7 @@ from .oracle import (
     sequence_lemma_check,
     variational_experiment,
 )
-from .paths import _PATHS_PER_WORKER, SimulationError, dump_array
+from .paths import _PATHS_PER_WORKER, ControlProcess, SimulationError, array_bytes
 
 log = logging.getLogger("msa_control")
 
@@ -103,16 +106,23 @@ def _problem_from_config(obj) -> ProblemSpec:
                               f"{_MAX_PATH_BYTES >> 30} GiB of floats")
 
         def array(key, *shape):
-            """obj[key] as floats of this shape; zeros if an optional key is absent."""
-            value = obj[key] if key in obj or key in ("b1", "G", "Gamma") else np.zeros(shape)
-            return np.asarray(value, dtype=float).reshape(shape)
+            """obj[key] as floats, of this shape if one is given; zeros if an
+            optional key is absent.  Each leaf must be a JSON number."""
+            if key not in obj and key in ("b2", "sigma0", "sigma_u", "g_lin", "g_quad"):
+                return np.zeros(shape)
+            value = np.asarray(obj[key], dtype=float)  # a ragged list raises here
+            for leaf in np.asarray(obj[key], dtype=object).ravel():
+                if isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+                    raise ConfigError(f"bad inline LQ problem: {key} holds "
+                                      f"{json.dumps(leaf)}, not a number")
+            return value.reshape(shape or value.shape)
 
-        T = float(obj["T"])
-        x0 = np.asarray(obj["x0"], dtype=float)
+        T = float(array("T"))
+        x0 = array("x0")
         b1, b2, G, Gamma = array("b1", n, n), array("b2", n), array("G", n, n), array("Gamma", n, n)
         sigma0, sigma_u = array("sigma0", n, d), array("sigma_u", k, n, d)
         g_lin, g_quad = array("g_lin", k), array("g_quad", k, k)
-        domain = ControlDomain(np.asarray(obj["domain"], dtype=float))
+        domain = ControlDomain(array("domain"))
 
         def sig(t, u):
             return sigma0[None, :, :] + np.einsum("bk,knd->bnd", u, sigma_u)
@@ -182,7 +192,7 @@ def _resolve(cfg, command: str, seed):
         # validate remainder's conditional estimator (scalar) keeps no W, but
         # seven (2^G, nx) float arrays on its PDE lattice of nx = _LATTICE_NODES
         lattice = 7 * _LATTICE_NODES if command == "remainder" and s.n == s.d == 1 else 0
-        idx = np.min_scalar_type(s.domain.size - 1).itemsize
+        idx = ControlProcess.index_dtype(s.domain.size).itemsize
         per_path = s.n * 8 if lattice else (s.n + s.d + 1) * 8 + 3 * idx
         bits = math.log2(config.M * per_path + lattice * 8) + config.depth
         if bits > math.log2(_MAX_PATH_BYTES):
@@ -214,15 +224,10 @@ def _slope(value: float):
     return None if math.isnan(value) else value
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     spec, config, u0 = _resolve(_load_json(args.config), "solve", args.seed)
     t0 = time.time()
     run = run_msa(spec, config, u0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "iterations.csv").write_text(records_to_csv(run.records))
-    (out / "iterations.json").write_text(records_to_json(run.records))
-    dump_array(out / "final_control.bin", run.final_control.values.astype(float), config.seed)
     summary = {
         "J_final": run.J_final,
         "mu_final": run.mu_final,
@@ -232,56 +237,52 @@ def cmd_solve(args) -> int:
         "iterations": sum(1 for r in run.records if r.accepted),
         "metadata": {"timestamp": time.time(), "wall_time_total": time.time() - t0},
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
     log.info("solve finished: %s after %d accepted iterations", run.termination, summary["iterations"])
-    return EXIT_OK
+    return EXIT_OK, {
+        "iterations.csv": records_to_csv(run.records),
+        "iterations.json": [asdict(r) for r in run.records],
+        "final_control.bin": array_bytes(run.final_control.values.astype(float), config.seed),
+        "summary.json": summary,
+    }
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args):
     _, config, _ = _resolve(_load_json(args.config), "bench", args.seed)
     results = {name: rate_experiment(registry.get_lq(name), config) for name in registry.lq_names()}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {}
+    files, summary = {}, {}
     for name, result in results.items():
-        (out / f"rate_{name}.csv").write_text(result.csv())
+        files[f"rate_{name}.csv"] = result.csv()
         summary[name] = {
             "slope": _slope(result.slope),
             "J_star_analytic": result.J_star_analytic,
             "J_star_saa": result.J_star_saa,
             "termination": result.run.termination,
         }
-    (out / "bench_summary.json").write_text(json.dumps(summary, indent=2))
-    return EXIT_OK
+    return EXIT_OK, {**files, "bench_summary.json": summary}
 
 
 _SEQ_GRID_A1 = (0.1, 0.5, 1.0, 2.0)
 _SEQ_GRID_A = (0.1, 1.0, 10.0)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     spec, config, u0 = _resolve(_load_json(args.config), args.experiment, args.seed)
-    out = Path(args.out)
     if args.experiment == "sequence":
-        lines = ["a1,A,max_b,bound,ok"]
-        all_ok = True
+        rows = []
         for a1 in _SEQ_GRID_A1:
             for A in _SEQ_GRID_A:
                 res = sequence_lemma_check(a1, A, config.m_max)
-                all_ok &= res.ok
-                lines.append(f"{a1!r},{A!r},{res.max_b!r},{res.bound!r},{int(res.ok)}")
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sequence.csv").write_text("\n".join(lines) + "\n")
-        return EXIT_OK if all_ok else EXIT_NUMERICAL
+                rows.append((a1, A, res.max_b, res.bound, res.ok))
+        code = EXIT_OK if all(row[-1] for row in rows) else EXIT_NUMERICAL
+        return code, {"sequence.csv": to_csv(("a1", "A", "max_b", "bound", "ok"), rows)}
 
     eps_list = [spec.T * 2.0 ** (-N) for N in _EPS_LEVELS]
     experiment = remainder_experiment if args.experiment == "remainder" else variational_experiment
     res = experiment(spec, u0, spec.T / 2.0, eps_list, config)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{args.experiment}.csv").write_text(res.csv())
-    summary = json.dumps({"slope": _slope(res.slope)}, indent=2)
-    (out / f"{args.experiment}_summary.json").write_text(summary)
-    return EXIT_OK
+    return EXIT_OK, {
+        f"{args.experiment}.csv": res.csv(),
+        f"{args.experiment}_summary.json": {"slope": _slope(res.slope)},
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,20 +319,25 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        # the subcommands create --out after their run: refuse one that cannot be a directory
+        # --out is created only after the run returns: refuse one that cannot be a directory
         out = Path(args.out).absolute()
         found = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
         if not found.is_dir():
             raise ConfigError(f"--out {args.out}: {found} is not a directory")
         # every stage checks finiteness and raises a one-line cause
         with np.errstate(all="ignore"):
-            return args.fn(args)
+            code, files = args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationError, RegressionRankError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        data = content if isinstance(content, (str, bytes)) else json.dumps(content, indent=2)
+        (out / name).write_bytes(data.encode() if isinstance(data, str) else data)
+    return code
 
 
 if __name__ == "__main__":

@@ -126,7 +126,7 @@ def gap_process(
     """
     _check_provenance(X, u)
     values = np.empty(u.values.shape)
-    argmins = np.empty(u.values.shape, dtype=np.min_scalar_type(spec.domain.size - 1))
+    argmins = np.empty(u.values.shape, dtype=ControlProcess.index_dtype(spec.domain.size))
     for i, p, q, P, _ in adjoints:
         _check_finite("adjoint", i, p, q, P)
         argmins[i], values[i] = minimize_h(spec, i * grid.dt, X.states[i], p, q, P, u.values[i])

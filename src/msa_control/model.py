@@ -45,6 +45,8 @@ class ControlDomain:
             pts = pts[:, None]
         if pts.size == 0:
             raise ValueError("control domain must contain at least one point")
+        if not np.isfinite(pts).all():
+            raise ValueError("control domain points must be finite")
         if len(np.unique(pts, axis=0)) != len(pts):
             raise ValueError("control domain contains duplicate points")
         object.__setattr__(self, "points", pts)

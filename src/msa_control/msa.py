@@ -17,11 +17,8 @@ The order experiments in ``oracle`` (bar the conditional remainder) share the so
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -58,6 +55,11 @@ class DyadicInterval:
     eps: float
     tau: float
     step_range: tuple  # half-open [lo, hi) in grid steps
+
+
+def passes_descent(J_new: float, J: float, mu: float, N: int, T: float) -> bool:
+    """The descent test J_new - J <= eps_N mu / T, eps_N = T 2^-N (False on a NaN)."""
+    return J_new - J <= T * 2.0 ** (-N) * mu / T
 
 
 def dyadic_interval(T: float, N: int, j: int, grid: TimeGrid) -> DyadicInterval:
@@ -209,7 +211,7 @@ def msa_step(
             raise SimulationError(
                 f"non-finite candidate cost at iteration {state.m}, level {N}, interval {j}"
             )
-        if J_cand - state.J <= interval.eps * state.mu / spec.T:
+        if passes_descent(J_cand, state.J, state.mu, N, spec.T):
             rec = IterationRecord(
                 m=state.m,
                 J=state.J,
@@ -340,17 +342,21 @@ _PARSE = {"int": int, "float": float, "bool": lambda s: bool(int(s))}
 CSV_HEADER = [f.name for f in _FIELDS]
 
 
+def to_csv(header, rows) -> str:
+    """A CSV table: floats at full (shortest round-trip) precision, bools as 0/1."""
+    return "".join(
+        ",".join(str(int(v)) if isinstance(v, bool) else str(v) for v in row) + "\n"
+        for row in (header, *rows)
+    )
+
+
 def records_to_csv(records) -> str:
-    """Serialize iteration records; floats at full precision (repr), bools as 0/1."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    w.writerows([int(v) if isinstance(v, bool) else v for v in astuple(r)] for r in records)
-    return buf.getvalue()
+    """The iteration log: one CSV_HEADER column per IterationRecord field."""
+    return to_csv(CSV_HEADER, map(astuple, records))
 
 
 def records_from_csv(text: str):
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = [line.split(",") for line in text.splitlines()]
     if rows[:1] != [CSV_HEADER]:
         raise ValueError(f"iterations CSV header {next(iter(rows), [])} is not {CSV_HEADER}")
     return [
@@ -359,16 +365,10 @@ def records_from_csv(text: str):
     ]
 
 
-def records_to_json(records) -> str:
-    return json.dumps([asdict(r) for r in records], indent=2)
-
-
 def check_descent_log(records, T: float) -> bool:
     """Re-check the acceptance inequality for every accepted row in a log."""
-    for prev, nxt in zip(records, records[1:]):
-        if not prev.accepted:
-            continue
-        eps = T * 2.0 ** (-prev.N)
-        if not nxt.J - prev.J <= eps * prev.mu / T:
-            return False
-    return True
+    return all(
+        passes_descent(nxt.J, prev.J, prev.mu, prev.N, T)
+        for prev, nxt in zip(records, records[1:])
+        if prev.accepted
+    )

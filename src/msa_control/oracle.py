@@ -20,7 +20,7 @@ import numpy as np
 from .adjoint import AdjointFirst, AdjointSecond
 from .hamiltonian import GapProcess
 from .model import LQSpec, ProblemSpec, lq_embed
-from .msa import MSAConfig, MSARun, _start, prepare_state, run_msa, spike_control
+from .msa import MSAConfig, MSARun, _start, prepare_state, run_msa, spike_control, to_csv
 from .paths import (
     BrownianEnsemble,
     ControlProcess,
@@ -146,9 +146,7 @@ class RateResult:
     run: MSARun
 
     def csv(self) -> str:
-        lines = ["m,a_m,a_m_sqrt_m"]
-        lines += [f"{m},{a!r},{b!r}" for m, a, b in self.rows]
-        return "\n".join(lines) + "\n"
+        return to_csv(("m", "a_m", "a_m_sqrt_m"), self.rows)
 
 
 def rate_experiment(
@@ -287,9 +285,7 @@ class RemainderResult:
     standard_errors: List[float]
 
     def csv(self) -> str:
-        lines = ["eps,R,censored"]
-        lines += [f"{e!r},{R!r},{int(c)}" for e, R, c in self.rows]
-        return "\n".join(lines) + "\n"
+        return to_csv(("eps", "R", "censored"), self.rows)
 
 
 def _interval_steps(tau: float, eps: float, grid: TimeGrid) -> Tuple[int, int]:
@@ -483,9 +479,7 @@ class VariationalResult:
     slope: float
 
     def csv(self) -> str:
-        lines = ["eps,e_sq"]
-        lines += [f"{e!r},{v!r}" for e, v in self.rows]
-        return "\n".join(lines) + "\n"
+        return to_csv(("eps", "e_sq"), self.rows)
 
 
 def variational_experiment(

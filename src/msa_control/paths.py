@@ -8,8 +8,8 @@ index order so results are bit-reproducible.
 Every per-path array (increments, states, controls, and downstream the
 adjoints and gaps) is time-major, (steps, M, .), so the per-step slice
 ``[i]`` that the solver loops take is contiguous.  Only the file format of
-``dump_array``/``load_array`` is path-major.  Control indices (ControlProcess, GapProcess's
-argmins) take the smallest unsigned type that holds V - 1: uint8 up to V = 256 points.
+``array_bytes``/``load_array`` is path-major.  Control indices (ControlProcess, GapProcess's
+argmins) take ``ControlProcess.index_dtype(V)``, the smallest unsigned type holding V - 1.
 
 Euler simulation and the remainder's per-path sums give each usable CPU a
 thread and a contiguous path range once M >= 2 * _PATHS_PER_WORKER (numpy
@@ -135,10 +135,15 @@ class ControlProcess:
         if once.min() < 0 or once.max() >= self.num_points:
             raise ValueError("control index out of domain range")
         # narrowed after the check (-1 must not wrap); a broadcast view stays one
-        narrow = once.astype(np.min_scalar_type(self.num_points - 1), copy=False)
+        narrow = once.astype(self.index_dtype(self.num_points), copy=False)
         if narrow.shape != vals.shape:
             narrow = np.broadcast_to(narrow, vals.shape)
         object.__setattr__(self, "values", narrow)
+
+    @staticmethod
+    def index_dtype(num_points: int) -> np.dtype:
+        """The smallest unsigned type that holds every index of num_points control points."""
+        return np.min_scalar_type(num_points - 1)
 
     @classmethod
     def constant(cls, index: int, M: int, steps: int, num_points: int) -> "ControlProcess":
@@ -283,21 +288,20 @@ def empirical_moment(X: StateEnsemble, order: int) -> float:
 _HEADER = struct.Struct("<QQQQ")
 
 
-def dump_array(path, arr: Array, seed: int) -> None:
-    """Flat binary dump of a time-major (steps, M[, dim]) array: little-endian
+def array_bytes(arr: Array, seed: int) -> bytes:
+    """Flat binary form of a time-major (steps, M[, dim]) array: little-endian
     u64 header (M, steps, dim, seed), then float64 data path-major, as
     (M, steps, dim) row-major."""
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     steps, M, dim = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(M, steps, dim, seed & 0xFFFFFFFFFFFFFFFF))
-        fh.write(np.ascontiguousarray(arr.transpose(1, 0, 2)).tobytes())
+    header = _HEADER.pack(M, steps, dim, seed & 0xFFFFFFFFFFFFFFFF)
+    return header + np.ascontiguousarray(arr.transpose(1, 0, 2)).tobytes()
 
 
 def load_array(path):
-    """Inverse of :func:`dump_array`: reads the path-major file and returns
+    """Inverse of :func:`array_bytes`: reads the path-major file and returns
     (time-major array (steps, M, dim), seed)."""
     with open(path, "rb") as fh:
         M, steps, dim, seed = _HEADER.unpack(fh.read(_HEADER.size))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import warnings
 
 import pytest
@@ -432,7 +433,30 @@ def fuzz_cases(group):
                 yield group, {**FUZZ_BASE[group], key: value}
 
 
+# Inline LQ entries that numpy would cast to floats (null to NaN, a bool or a
+# numeric string to its number), each with the leaf the error names
+NOT_NUMBERS = [
+    ("b1", [[None]], "null"), ("x0", [None], "null"), ("sigma0", [[None]], "null"),
+    ("domain", [[None], [1.0]], "null"), ("T", True, "true"), ("T", "1", '"1"'),
+    ("x0", ["1"], '"1"'), ("b1", [["-0.5"]], '"-0.5"'), ("g_quad", [[True]], "true"),
+]
+
+
 class TestExitContract:
+    @pytest.mark.parametrize("command", ["solve", "remainder"])
+    @pytest.mark.parametrize("key, value, leaf", NOT_NUMBERS,
+                             ids=[f"{key}-{json.dumps(value)}" for key, value, _ in NOT_NUMBERS])
+    def test_inline_lq_leaf_not_a_number_exits_config(self, tmp_path, capsys, command, key,
+                                                       value, leaf):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({**FUZZ_BASE[command], "problem": {**INLINE_LQ, key: value}}))
+        argv = ["solve"] if command == "solve" else ["validate", command]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: bad inline LQ problem: {key} holds {leaf}, not a number\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("group", [*FUZZ_BASE, "inline-lq"])
     def test_fuzzed_configs_keep_exit_contract(self, tmp_path, capsys, group):
         # exit 0, 2 or 3; one stderr line exactly when not 0; no warning; no
@@ -452,3 +476,108 @@ class TestExitContract:
                 warned = sorted({str(w.message) for w in caught})
                 breaches.append(f"{command} {json.dumps(cfg)}: exit {rc}, {err!r}, {warned}")
         assert breaches == []
+
+
+# n = d = k = 2: validate remainder takes the direct estimator on it
+INLINE_LQ_2D = {
+    "type": "lq",
+    "n": 2, "d": 2, "k": 2, "T": 1.0,
+    "x0": [1.0, -0.5],
+    "b1": [[-0.5, 0.3], [-0.2, -0.1]],
+    "b2": [0.1, 0.0],
+    "G": [[1.0, 0.2], [0.2, 0.5]],
+    "Gamma": [[1.0, 0.0], [0.0, 1.0]],
+    "sigma0": [[0.3, 0.0], [0.0, 0.3]],
+    "sigma_u": [[[0.5, 0.1], [0.2, 0.0]], [[0.0, 0.3], [0.1, 0.4]]],
+    "g_quad": [[0.2, 0.0], [0.0, 0.2]],
+    "domain": [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+}
+# One small run of every subcommand and remainder estimator, and the SHA-256
+# of every file it writes, blanked by run_time_blanked.  Recorded before the
+# subcommands handed their files to main to write.
+PINNED_RUNS = {
+    "solve-lq-worst-constant": (
+        ["solve"], {"problem": "lq-scalar", "M": 300, "G": 5, "m_max": 5, "u0": "worst-constant"}
+    ),
+    "solve-nonconvex": (["solve"], {"problem": "nonconvex-diffusion", "M": 300, "G": 5, "m_max": 5}),
+    "bench-lq": (["bench", "lq"], {"M": 300, "G": 5, "m_max": 5}),
+    "remainder-conditional": (["validate", "remainder"], {"M": 3000, "G": 6}),
+    "remainder-direct-2d": (["validate", "remainder"], {"problem": INLINE_LQ_2D, "M": 300, "G": 6}),
+    "variational": (["validate", "variational"], {"M": 500, "G": 6}),
+    "sequence": (["validate", "sequence"], {"m_max": 1000}),
+}
+PINNED_OUTPUTS = {
+    "solve-lq-worst-constant": {
+        "final_control.bin":
+            "2aba39d8bde7f586dcd2e63106e7971158424fb2cc9e83f430cd438e8c0d35e6",
+        "iterations.csv":
+            "fa0c81bb9519e1ff4b2ce0cd565aa6e006dc9f639d729a9e336ed52bae07152a",
+        "iterations.json":
+            "6f792ddf207e4c9a9111c55e33cd0aaac62b2170e74faef7e7ca4a63fa3b6bfd",
+        "summary.json":
+            "c3d2b09ebe9428ae1b2bac35b4f8ff9f84757c29476af604984694957c40d554",
+    },
+    "solve-nonconvex": {
+        "final_control.bin":
+            "d885f06bdfe9180f240367feaa4064fb1fd696fe86b3241c5477f64a89ea62d3",
+        "iterations.csv":
+            "3139a7d4e8656a9b5c204ca0b584983e0f171fa5b121796d2206913b39451d24",
+        "iterations.json":
+            "aeda479b0aca73cbc8197c5eee1bbab22223b5d95c9e0860b9d9e7e353aec86c",
+        "summary.json":
+            "75f0005f241ee77af9e6373b11de581cb2cab755159629e4e9c70286893da309",
+    },
+    "bench-lq": {
+        "bench_summary.json":
+            "0d67e95030feaf3fac896a93eab796055833c73fa4b53e4fe11c9b066d2c3a80",
+        "rate_lq-scalar.csv":
+            "7534f8c44810046232776901213de7d5b0537d80c00df98183cfb51005002939",
+    },
+    "remainder-conditional": {
+        "remainder.csv":
+            "7e36bff739785098b706e0c9179fdb7efcdf81b21ecaf68e1706bb0dd404e98f",
+        "remainder_summary.json":
+            "fed77cc43ba2262e9f7dcb4606c8c7f8785ddffdc9f3728c5a1f31adfb3470ea",
+    },
+    "remainder-direct-2d": {
+        "remainder.csv":
+            "b7df149c93a64eac7b36bcea9c8439deba0ebfc463b3b908b9fc38452193cf67",
+        "remainder_summary.json":
+            "fed77cc43ba2262e9f7dcb4606c8c7f8785ddffdc9f3728c5a1f31adfb3470ea",
+    },
+    "variational": {
+        "variational.csv":
+            "dddcf34ccc25c9c87968ff25b352f858c1a7524fa1247ba33f75476702e67dc3",
+        "variational_summary.json":
+            "403495746dde74aa9895aa453d3480d4c07691825bd68d9beb37522670b60744",
+    },
+    "sequence": {
+        "sequence.csv":
+            "814fb731ac947fe9d1c788f7e79d34b864cc8157f7f525c8e81752e37f6911f0",
+    },
+}
+
+
+def run_time_blanked(path):
+    """A file's bytes with what depends on the clock blanked: the wall_time
+    column of a CSV, and in JSON each wall_time value and the metadata block."""
+    data = path.read_bytes()
+    if path.suffix == ".csv" and data.split(b"\n", 1)[0].endswith(b",wall_time"):
+        return re.sub(rb",[^,\n]*$", b"", data, flags=re.M)
+    if path.suffix == ".json":
+        data = re.sub(rb'"metadata": \{[^}]*\}', b'"metadata": {}', data)
+        return re.sub(rb'"wall_time": [^,\n]*', b'"wall_time": 0', data)
+    return data
+
+
+class TestOutputsPinned:
+    @pytest.mark.parametrize("run", PINNED_RUNS)
+    def test_every_output_file_pinned(self, tmp_path, run):
+        argv, cfg = PINNED_RUNS[run]
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(cfg))
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        digests = {
+            p.name: hashlib.sha256(run_time_blanked(p)).hexdigest() for p in sorted(out.iterdir())
+        }
+        assert digests == PINNED_OUTPUTS[run]

@@ -153,6 +153,9 @@ class TestLQEmbed:
             ShapeError,
             "dimension 2, expected k=1",
         ),
+        (lambda: ControlDomain(np.array([[0.0], [np.nan]])), ValueError, "must be finite"),
+        (lambda: ControlDomain(np.array([[np.nan], [np.nan]])), ValueError, "must be finite"),
+        (lambda: ControlDomain(np.array([[0.0], [-np.inf]])), ValueError, "must be finite"),
         (lambda: validate_spec(scalar_spec(), samples=0), ValueError, "samples"),
         (
             lambda: lq_embed(unit_lq(
@@ -167,7 +170,8 @@ class TestLQEmbed:
             r"G\(t\) must be symmetric",
         ),
     ],
-    ids=["n=0", "d=-1", "k=0", "domain-k", "samples=0", "asymmetric-G"],
+    ids=["n=0", "d=-1", "k=0", "domain-k", "domain-nan", "domain-two-nan", "domain-inf",
+         "samples=0", "asymmetric-G"],
 )
 def test_invalid_input_rejected(build, error, match):
     with pytest.raises(error, match=match):

@@ -12,7 +12,7 @@ from msa_control import (
     ProvenanceError,
     SimulationError,
     TimeGrid,
-    dump_array,
+    array_bytes,
     dyadic_interval,
     empirical_moment,
     evaluate_cost,
@@ -488,7 +488,7 @@ class TestBinaryRoundTrip:
     def test_dump_load(self, tmp_path):
         arr = np.arange(24, dtype=float).reshape(2, 4, 3)
         path = tmp_path / "a.bin"
-        dump_array(path, arr, 42)
+        path.write_bytes(array_bytes(arr, 42))
         back, seed = load_array(path)
         assert seed == 42
         np.testing.assert_array_equal(back, arr)
@@ -496,13 +496,13 @@ class TestBinaryRoundTrip:
     def test_2d_promoted(self, tmp_path):
         arr = np.arange(8, dtype=float).reshape(2, 4)
         path = tmp_path / "b.bin"
-        dump_array(path, arr, 1)
+        path.write_bytes(array_bytes(arr, 1))
         back, _ = load_array(path)
         assert back.shape == (2, 4, 1)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "c.bin"
-        dump_array(path, np.zeros((5, 3, 2)), 9)
+        path.write_bytes(array_bytes(np.zeros((5, 3, 2)), 9))
         raw = path.read_bytes()
         import struct
 
@@ -516,7 +516,7 @@ class TestBinaryRoundTrip:
         W = generate_brownian(grid, 4, 1, 2)
         X = simulate_state(spec, grid, W, ControlProcess.constant(0, 4, grid.steps, 3))
         path = tmp_path / "x.bin"
-        dump_array(path, X.states, 2)
+        path.write_bytes(array_bytes(X.states, 2))
         raw = path.read_bytes()
         rows = [X.states[i, p, 0] for p in range(4) for i in range(grid.steps + 1)]
         assert raw[32:] == np.array(rows).tobytes()
