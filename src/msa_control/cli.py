@@ -189,8 +189,8 @@ def _resolve(cfg, command: str, seed):
         if config.M <= features:
             raise ConfigError(f"M={config.M} must exceed the {features} regression features")
         # the solver holds W, one candidate X, the gaps and three index arrays;
-        # validate remainder's conditional estimator (scalar) keeps no W, but
-        # seven (2^G, nx) float arrays on its PDE lattice of nx = _LATTICE_NODES
+        # validate remainder's conditional estimator (scalar) keeps no W; seven (2^G, nx) float
+        # arrays, nx = _LATTICE_NODES, safely over-count its one lattice row per kept step
         lattice = 7 * _LATTICE_NODES if command == "remainder" and s.n == s.d == 1 else 0
         idx = ControlProcess.index_dtype(s.domain.size).itemsize
         per_path = s.n * 8 if lattice else (s.n + s.d + 1) * 8 + 3 * idx
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationError, RegressionRankError, np.linalg.LinAlgError) as exc:
+    except (SimulationError, RegressionRankError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     out.mkdir(parents=True, exist_ok=True)

@@ -222,62 +222,6 @@ def _cn_step(v: Array, a: Array, s2: Array, src: Array, dt: float, dx: float) ->
     return out
 
 
-def _scalar_value_fields(
-    spec: ProblemSpec, grid: TimeGrid, bounds: Tuple[float, float], u_index: int, nx: int
-) -> Tuple[Array, Array, Array, Array]:
-    """Solve the backward cost-to-go PDE for the constant base control on a lattice
-    around bounds, the states' (min, max); return the nodes xs and, per (step, node),
-    the gap rate S <= 0 and the drift b_sel and squared diffusion s2_sel at its minimizer.
-
-    With v the cost-to-go, the adjoints along the base flow are p = v_x,
-    q = sigma_u v_xx, P = v_xx, so the generalized-Hamiltonian difference at
-    a candidate point collapses to
-        S_c = (b_c - b_u) v_x + (f_c - f_u) + (sigma_c^2 - sigma_u^2) v_xx / 2
-    and the gap rate is the minimum of S_c over the domain.
-    """
-    c = spec.coefficients
-    pts = spec.domain.points
-    lo, hi = bounds
-    pad = 0.5 * (hi - lo) + 1.0
-    xs = np.linspace(lo - pad, hi + pad, nx)
-    dx = xs[1] - xs[0]
-    xcol = xs[:, None]
-    steps = grid.steps
-    dt = grid.dt
-
-    def fields(t, idx):
-        upt = np.broadcast_to(pts[idx], (nx, pts.shape[1]))
-        b = np.asarray(c.b(t, xcol, upt))[:, 0]
-        s2 = np.asarray(c.sigma(t, xcol, upt))[:, 0, 0] ** 2
-        f = np.asarray(c.f(t, xcol, upt))
-        return b, s2, f
-
-    # each value row is used once solved: one base-field call per step, no (steps, nx) V
-    S = np.full((steps, nx), np.inf)
-    b_sel = np.empty((steps, nx))
-    s2_sel = np.empty((steps, nx))
-    v = np.asarray(c.Phi(xcol))
-    for i in range(steps - 1, -1, -1):
-        t = i * dt
-        base = b_u, s2_u, f_u = fields(t, u_index)
-        v, v_next = _cn_step(v, b_u, s2_u, f_u, dt, dx), v
-        if not (np.isfinite(v_next).all() and np.isfinite(v).all()):
-            raise SimulationError("non-finite value function on the remainder lattice")
-        vx = np.gradient(v, dx)
-        vxx = np.empty_like(v)
-        vxx[1:-1] = (v[:-2] - 2 * v[1:-1] + v[2:]) / (dx * dx)
-        vxx[0] = vxx[1]
-        vxx[-1] = vxx[-2]
-        for ci in range(pts.shape[0]):
-            b_c, s2_c, f_c = base if ci == u_index else fields(t, ci)
-            S_c = (b_c - b_u) * vx + (f_c - f_u) + 0.5 * (s2_c - s2_u) * vxx
-            better = S_c < S[i]  # strict: ties keep the smaller index
-            S[i] = np.where(better, S_c, S[i])
-            b_sel[i] = np.where(better, b_c, b_sel[i])
-            s2_sel[i] = np.where(better, s2_c, s2_sel[i])
-    return xs, S, b_sel, s2_sel
-
-
 @dataclass
 class RemainderResult:
     rows: List[Tuple[float, float, bool]]  # (eps, R, censored)
@@ -351,6 +295,16 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config):
     the interval and S is the exact gap rate.  Both terms ride on the same
     base paths, so nearly all Monte Carlo noise cancels and the small-eps
     remainder is resolvable at desk-scale path counts.
+
+    With v the base control's cost-to-go, the adjoints along the base flow are
+    p = v_x, q = sigma_u v_xx, P = v_xx, so the generalized-Hamiltonian
+    difference at a candidate point collapses to
+        S_c = (b_c - b_u) v_x + (f_c - f_u) + (sigma_c^2 - sigma_u^2) v_xx / 2
+    and S is the minimum of S_c over the domain.  One backward sweep on a
+    lattice around the states' range solves v from T down to the first step
+    of the intervals' union; on each step of the union it keeps S's row and
+    advances, with the minimizer's drift and squared diffusion, the delta of
+    every interval holding the step.
     """
     grid = TimeGrid(T=spec.T, depth=config.depth)
     ranges = [_interval_steps(tau, eps, grid) for eps in eps_list]
@@ -359,23 +313,59 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config):
     # still sums its own steps in ascending order from zero.
     rows = range(min((lo for lo, _ in ranges), default=0), max((hi for _, hi in ranges), default=0))
     u = ControlProcess.constant(u_index, config.M, grid.steps, spec.domain.size)
-    window, *bounds = stream_states(spec, grid, config.seed, u, rows)
-    xs, S, b_sel, s2_sel = _scalar_value_fields(spec, grid, bounds, u_index, _LATTICE_NODES)
+    window, low, high = stream_states(spec, grid, config.seed, u, rows)
+    c, pts, dt, nx = spec.coefficients, spec.domain.points, grid.dt, _LATTICE_NODES
+    pad = 0.5 * (high - low) + 1.0
+    xs = np.linspace(low - pad, high + pad, nx)
     dx = xs[1] - xs[0]
+    xcol = xs[:, None]
+
+    def fields(t, idx):
+        upt = np.broadcast_to(pts[idx], (nx, pts.shape[1]))
+        b = np.asarray(c.b(t, xcol, upt))[:, 0]
+        s2 = np.asarray(c.sigma(t, xcol, upt))[:, 0, 0] ** 2
+        f = np.asarray(c.f(t, xcol, upt))
+        return b, s2, f
+
+    S = np.empty((len(rows), nx))
+    deltas = [np.zeros(nx) for _ in ranges]
+    v = np.asarray(c.Phi(xcol))
+    for i in range(grid.steps - 1, rows.start - 1, -1):
+        t = i * dt
+        base = b_u, s2_u, f_u = fields(t, u_index)
+        v, v_next = _cn_step(v, b_u, s2_u, f_u, dt, dx), v
+        if not (np.isfinite(v_next).all() and np.isfinite(v).all()):
+            raise SimulationError("non-finite value function on the remainder lattice")
+        if i not in rows:
+            continue
+        vx = np.gradient(v, dx)
+        vxx = np.empty_like(v)
+        vxx[1:-1] = (v[:-2] - 2 * v[1:-1] + v[2:]) / (dx * dx)
+        vxx[0] = vxx[1]
+        vxx[-1] = vxx[-2]
+        gap, b_sel, s2_sel = np.full(nx, np.inf), np.empty(nx), np.empty(nx)
+        for ci in range(pts.shape[0]):
+            b_c, s2_c, f_c = base if ci == u_index else fields(t, ci)
+            S_c = (b_c - b_u) * vx + (f_c - f_u) + 0.5 * (s2_c - s2_u) * vxx
+            better = S_c < gap  # strict: ties keep the smaller index
+            gap = np.where(better, S_c, gap)
+            b_sel = np.where(better, b_c, b_sel)
+            s2_sel = np.where(better, s2_c, s2_sel)
+        S[i - rows.start] = gap
+        for k, (lo, hi) in enumerate(ranges):
+            if lo <= i < hi:
+                deltas[k] = _cn_step(deltas[k], b_sel, s2_sel, gap, dt, dx)
     gap_paths = [np.zeros(config.M) for _ in ranges]
 
     def accumulate(p_lo, p_hi):
         for i in rows:
             inside = [acc[p_lo:p_hi] for (lo, hi), acc in zip(ranges, gap_paths) if lo <= i < hi]
-            term = _lattice_interp(window[i - rows.start, p_lo:p_hi, 0], xs, S[i]) * grid.dt
+            term = _lattice_interp(window[i - rows.start, p_lo:p_hi, 0], xs, S[i - rows.start]) * dt
             for acc in inside:
                 acc += term
 
     _split_paths(config.M, accumulate)
-    for eps, (lo, hi), gap_path in zip(eps_list, ranges, gap_paths):
-        delta = np.zeros(_LATTICE_NODES)
-        for i in range(hi - 1, lo - 1, -1):
-            delta = _cn_step(delta, b_sel[i], s2_sel[i], S[i], grid.dt, dx)
+    for eps, (lo, hi), gap_path, delta in zip(eps_list, ranges, gap_paths, deltas):
         if not np.isfinite(delta).all():
             raise SimulationError(f"non-finite difference on the remainder lattice at eps {eps!r}")
         yield eps, _lattice_interp(window[lo - rows.start, :, 0], xs, delta) - gap_path

@@ -221,7 +221,8 @@ def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
         return window[i - rows.start, start:end] if i in rows else np.empty((end - start, spec.n))
 
     def step_range(lo, hi):
-        buf = None if isinstance(W, BrownianEnsemble) else np.empty((steps, _STREAM_BLOCK, spec.d))
+        seeded = not isinstance(W, BrownianEnsemble)
+        buf = np.empty((steps, min(_STREAM_BLOCK, hi - lo), spec.d)) if seeded else None
         low, high = np.inf, -np.inf
         for start in range(lo, hi, _STREAM_BLOCK):
             end = min(start + _STREAM_BLOCK, hi)

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import msa_control
 from msa_control.cli import (
     _KEYS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, ConfigError, _load_json, _resolve, main,
 )
@@ -476,6 +481,26 @@ class TestExitContract:
                 warned = sorted({str(w.message) for w in caught})
                 breaches.append(f"{command} {json.dumps(cfg)}: exit {rc}, {err!r}, {warned}")
         assert breaches == []
+
+    def test_out_of_memory_exits_numerical(self, tmp_path):
+        # lq-scalar's W alone is 3.05 GiB at M=100000, G=12, under the config
+        # resolver's limit; the child may map 1.5 GiB, so numpy's allocation fails
+        def limit_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+        cfg = write_config(tmp_path, M=100_000, G=12, m_max=1)
+        src = os.path.dirname(os.path.dirname(msa_control.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "msa_control.cli", "solve", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+        assert re.fullmatch(r"numerical failure: Unable to allocate .* GiB for an array "
+                            r"with shape \(4096, 100000, 1\) and data type float64\n", proc.stderr)
+        assert not (tmp_path / "out").exists()
 
 
 # n = d = k = 2: validate remainder takes the direct estimator on it

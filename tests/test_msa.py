@@ -279,10 +279,19 @@ class TestRunMsa:
     )
     def test_registry_results_pinned(self, name, J_hex, mu_hex):
         # recorded before the batched initializer and the broadcast
-        # H-minimization; both must leave every bit in place
+        # H-minimization; both must leave every bit in place.  lq-scalar
+        # accepts at levels 1, 3 and 4 before it exhausts the levels; each
+        # log passes the descent check after a CSV round trip
         config = MSAConfig(M=300, depth=5, N_max=5, seed=3)
-        run = run_msa(get_problem(name), config, "worst-constant")
+        spec = get_problem(name)
+        run = run_msa(spec, config, "worst-constant")
         assert (run.J_final.hex(), run.mu_final.hex()) == (J_hex, mu_hex)
+        accepted = [r.N for r in run.records if r.accepted]
+        assert (accepted, run.termination) == {
+            "lq-scalar": ([1, 3, 4], "exhausted"), "nonconvex-diffusion": ([1, 1, 1], "converged")
+        }[name]
+        records = records_from_csv(records_to_csv(run.records))
+        assert records == run.records and check_descent_log(records, spec.T)
 
     def test_peak_holds_one_generation(self):
         # W, the gaps and one candidate's states are the float64 per-path

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,24 @@ class TestRemainderExperiment:
             assert record.pools == (0 if workers == 1 else 2)
             assert len(record.ranges) == (0 if workers == 1 else 2 * workers)
         assert results[2] == results[1] and results[3] == results[1]
+
+    def test_conditional_estimator_peak(self):
+        # at M=300, G=9 the estimator keeps the window of 256 state rows
+        # (0.6 MB), the gap rate's 256 lattice rows (4.1 MB) and one
+        # 300-path increment buffer (1.2 MB); an 8192-path buffer (33.5 MB)
+        # or three (512, 2001) lattice fields (24.6 MB) would each break 8 MB
+        import scipy.linalg  # noqa: F401  (its lazy import's module objects are not the estimator's)
+
+        spec = get_problem("nonconvex-diffusion")
+        config = MSAConfig(M=300, depth=9, N_max=9, seed=7)
+        eps_list = [spec.T * 2.0 ** (-N) for N in range(2, 7)]
+        tracemalloc.start()
+        try:
+            remainder_experiment(spec, spec.domain.size - 1, spec.T / 2, eps_list, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
 
     def test_direct_estimator_bits_pinned(self):
         # a ControlProcess base takes the direct CRN estimator
