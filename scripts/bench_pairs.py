@@ -90,13 +90,28 @@ def pairs(parent: Path, workload: str, seeds, seconds: float) -> dict:
     return out
 
 
+def _blas_kernel(numpy) -> str:
+    """The kernel that numpy's bundled OpenBLAS picked on this CPU (the bits of
+    the regressions depend on it), or "unknown" without that library or symbol."""
+    import ctypes
+
+    libdir = Path(numpy.__file__).parent.parent / "numpy.libs"
+    libs = sorted(libdir.glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def host() -> dict:
     import numpy
     import scipy
 
     return {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
-            "machine": platform.machine()}
+            "blas_kernel": _blas_kernel(numpy), "machine": platform.machine()}
 
 
 def _seeds(text: str) -> list:

@@ -8,7 +8,6 @@ from .adjoint import (
     RegressionRankError,
     adjoint_sweep,
     hessian_of_H,
-    regress_conditional,
     solve_first_adjoint,
     solve_second_adjoint,
 )
@@ -26,7 +25,6 @@ from .model import (
 )
 from .msa import (
     CSV_HEADER,
-    DyadicInterval,
     IterationRecord,
     MSAConfig,
     MSARun,
@@ -49,7 +47,6 @@ from .oracle import (
     VariationalResult,
     build_oracle,
     lq_closed_form_adjoint,
-    lq_optimal_control,
     lyapunov_solve,
     rate_experiment,
     remainder_experiment,

@@ -4,7 +4,8 @@ The first-order adjoint (p, q) and the second-order adjoint P are solved on
 the frozen ensemble by one backward induction, ``adjoint_sweep``, which
 yields each step's slices as it computes them and stores none.  Conditional
 expectations are estimated by ridge-regularized polynomial regression on the
-state (Gobet, Lemor and Warin, Ann. Appl. Probab. 2005).  The q
+state (Gobet, Lemor and Warin, Ann. Appl. Probab. 2005), fitted by one
+``_regressor`` per step.  The q
 (and transient Q) targets use the quotient estimator p_{t+1} dW / dt with the
 regressed continuation value subtracted as a zero-mean control variate.
 Stored adjoints are time-major, like the states they are regressed on.
@@ -86,14 +87,6 @@ def _regressor(states: Array, basis: RegressionBasis):
         return coef.reshape((F,) + y.shape[1:]), (A @ coef).reshape(y.shape)
 
     return fit
-
-
-def regress_conditional(targets: Array, states: Array, basis: RegressionBasis):
-    """Least-squares fit of targets on polynomial features of the states.
-
-    targets: (M,) or (M, m) block.  Returns (coefficients, fitted values).
-    """
-    return _regressor(states, basis)(np.asarray(targets, dtype=float))
 
 
 def hessian_of_H(spec: ProblemSpec, t: float, x: Array, p: Array, q: Array, u_pts: Array) -> Array:

@@ -15,13 +15,15 @@ and return arrays with leading batch dimension ``B``.  Shape conventions:
     sigma_xx          -> (B, n, n, n, d)
     f_xx, Phi_xx      -> (B, n, n)
 
-Functions must be pure: repeated evaluation at identical arguments yields
-bit-identical results, and concurrent evaluation is safe.
+Every member of a ``CoefficientSet`` must be callable; it refuses one that is
+not (a missing derivative, say) when built.  Functions must be pure: repeated
+evaluation at identical arguments yields bit-identical results, and
+concurrent evaluation is safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -76,6 +78,11 @@ class CoefficientSet:
     sigma_xx: Callable
     f_xx: Callable
     Phi_xx: Callable
+
+    def __post_init__(self):
+        for member in fields(self):
+            if not callable(getattr(self, member.name)):
+                raise ValueError(f"coefficient {member.name} must be callable")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ evaluated exactly on the frozen ensemble.  The level search restarts at
 N = 1 each iteration.  The accepted candidate's simulated states and cost
 carry over to the next iteration's sweep.  run_msa holds one generation of
 per-path arrays: W, the control, its gaps and one candidate with its states.
+A dyadic interval E_j^N is handled as its half-open range of grid steps,
+``dyadic_interval(N, j, grid)``.
 
 The order experiments in ``oracle`` (bar the conditional remainder) share the solver's
 ``_start`` (the ensemble from a config, the simulated start control) and ``prepare_state``.
@@ -46,32 +48,19 @@ Array = np.ndarray
 _INTERVAL_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """E_j^N = [(2j-2) eps_N, 2j eps_N) with eps_N = T 2^{-N}."""
-
-    N: int
-    j: int
-    eps: float
-    tau: float
-    step_range: tuple  # half-open [lo, hi) in grid steps
-
-
 def passes_descent(J_new: float, J: float, mu: float, N: int, T: float) -> bool:
     """The descent test J_new - J <= eps_N mu / T, eps_N = T 2^-N (False on a NaN)."""
     return J_new - J <= T * 2.0 ** (-N) * mu / T
 
 
-def dyadic_interval(T: float, N: int, j: int, grid: TimeGrid) -> DyadicInterval:
+def dyadic_interval(N: int, j: int, grid: TimeGrid) -> Tuple[int, int]:
+    """The grid steps [lo, hi) of E_j^N = [(2j-2) eps_N, 2j eps_N), eps_N = T 2^-N."""
     if N < 1 or N > grid.depth:
         raise ValueError(f"level N={N} outside 1..{grid.depth}")
     if not 1 <= j <= 1 << (N - 1):
         raise ValueError(f"index j={j} outside 1..{1 << (N - 1)}")
-    eps = T * 2.0 ** (-N)
-    cells = 1 << (grid.depth - N)  # grid steps per eps
-    lo = (2 * j - 2) * cells
-    hi = 2 * j * cells
-    return DyadicInterval(N=N, j=j, eps=eps, tau=(2 * j - 1) * eps, step_range=(lo, hi))
+    cells = 1 << (grid.depth - N)  # grid steps per eps_N
+    return (2 * j - 2) * cells, 2 * j * cells
 
 
 def spike_control(
@@ -203,8 +192,7 @@ def msa_step(
         j = find_descent_interval(state.gaps, state.mu, N, grid, spec.T)
         if j is None:
             continue
-        interval = dyadic_interval(spec.T, N, j, grid)
-        cand = spike_control(state.u, state.gaps, interval.step_range)
+        cand = spike_control(state.u, state.gaps, dyadic_interval(N, j, grid))
         X_cand = simulate_state(spec, grid, W, cand)
         J_cand = evaluate_cost(spec, grid, X_cand, cand)
         if not np.isfinite(J_cand):
@@ -263,6 +251,8 @@ def _worst_constant(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble) -> i
 
     One Euler pass over all V controls on V*M candidate-major rows keeps only
     the current state and a running cost (f dt by ascending step, Phi last).
+    It has its own loop because V simulate_state + evaluate_cost calls are slower:
+    0.31-0.49 s against 0.10-0.15 s on lq-scalar at M=2000, G=8, V=21 (2-CPU AVX-512 host).
     """
     c = spec.coefficients
     pts = spec.domain.points

@@ -1,7 +1,8 @@
 """LQ ground truth (Lyapunov ODEs, optimal control) and order experiments.
 
 The closed-form LQ machinery provides the oracle used to test the regression
-adjoint solvers and the solver's convergence behaviour.  The experiments
+adjoint solvers (``lq_closed_form_adjoint``) and the solver's convergence
+behaviour (``build_oracle``: the optimal control and cost).  The experiments
 check the orders the theory predicts: the spike-variation cost remainder
 (eps^{3/2}), the variational-equation defect (eps^3 in squared L2) and the
 m^{-1/2} sequence bound.
@@ -110,20 +111,15 @@ class LQOracle:
     J_star: float
 
 
-def lq_optimal_control(lq: LQSpec, grid: TimeGrid, lyap: Tuple[Array, Array, Array]):
-    """Pointwise HJB minimization over the control grid; returns (indices, J*)."""
-    K, kv, c = lyap
+def build_oracle(lq: LQSpec, grid: TimeGrid) -> LQOracle:
+    """The LQ optimum: u* by pointwise HJB minimization over the control grid
+    on the Lyapunov solution, and J* = x0'K(0)x0/2 + k(0)'x0 + c(0)."""
+    K, kv, c = lyapunov_solve(lq, grid)
     u_star = np.empty(grid.steps, dtype=np.int64)
     for i in range(grid.steps):
         u_star[i] = int(np.argmin(_diffusion_cost(lq, i * grid.dt, K[i])))
     x0 = lq.x0
-    J_star = float(0.5 * x0 @ K[0] @ x0 + kv[0] @ x0 + c[0])
-    return u_star, J_star
-
-
-def build_oracle(lq: LQSpec, grid: TimeGrid) -> LQOracle:
-    u_star, J_star = lq_optimal_control(lq, grid, lyapunov_solve(lq, grid))
-    return LQOracle(u_star=u_star, J_star=J_star)
+    return LQOracle(u_star=u_star, J_star=float(0.5 * x0 @ K[0] @ x0 + kv[0] @ x0 + c[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +423,6 @@ def variational_simulate(
     (VariationalEnsemble, e) with e = mean over paths of sup_i |X_spike - X - X1 - X2|^2.
     """
     c = spec.coefficients
-    for name in ("b_xx", "sigma_xx"):
-        if getattr(c, name) is None:
-            raise ValueError(f"second derivative {name} required for variational SDEs")
     lo, hi = step_range
     u_vals = X.control_values
     dt = grid.dt
@@ -507,7 +500,7 @@ class SequenceResult:
 def sequence_lemma_check(a1: float, A: float, m_max: int) -> SequenceResult:
     """Iterate the extremal recurrence a_{m+1} = a_m - A a_m^3 (clamped at 0)
     and verify a_m sqrt(m) <= max(a_1, A^{-1/2}) for all m <= m_max."""
-    if a1 < 0 or A <= 0:
+    if not (a1 >= 0 and A > 0):  # written as "not ok" so that a NaN fails it
         raise ValueError("need a1 >= 0 and A > 0")
     bound = max(a1, A ** -0.5)
     a = a1

@@ -126,7 +126,7 @@ def nan_at_level_one_candidate():
     u = ControlProcess.constant(0, config.M, grid.steps, spec.domain.size)
     X = simulate_state(spec, grid, W, u)
     state = prepare_state(spec, grid, W, u, X, evaluate_cost(spec, grid, X, u), config.basis)
-    cand = spike_control(u, state.gaps, dyadic_interval(spec.T, 1, 1, grid).step_range)
+    cand = spike_control(u, state.gaps, dyadic_interval(1, 1, grid))
     x_T = simulate_state(spec, grid, W, cand).states[-1]
     Phi = spec.coefficients.Phi
 

@@ -13,11 +13,10 @@ from msa_control import (
     hessian_of_H,
     lq_closed_form_adjoint,
     lq_embed,
-    regress_conditional,
     simulate_state,
     solve_first_adjoint,
 )
-from msa_control.adjoint import _collect
+from msa_control.adjoint import _collect, _regressor
 
 from conftest import lq_oracle_sweep, scalar_spec
 
@@ -55,14 +54,14 @@ class TestRegressConditional:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(500, 1))
         y = np.full(500, 3.0)
-        _, fitted = regress_conditional(y, x, RegressionBasis())
+        _, fitted = _regressor(x, RegressionBasis())(y)
         np.testing.assert_allclose(fitted, 3.0, atol=1e-6)
 
     def test_linear_recovered(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(500, 2))
         y = 2.0 * x[:, 0] - x[:, 1] + 0.5
-        _, fitted = regress_conditional(y, x, RegressionBasis())
+        _, fitted = _regressor(x, RegressionBasis())(y)
         np.testing.assert_allclose(fitted, y, atol=1e-5)
 
     def test_quadratic_conditional_mean(self):
@@ -70,7 +69,7 @@ class TestRegressConditional:
         x = rng.normal(size=(20_000, 1))
         noise = rng.normal(size=20_000)
         y = x[:, 0] ** 2 + noise
-        coef, _ = regress_conditional(y, x, RegressionBasis())
+        coef, _ = _regressor(x, RegressionBasis())(y)
         assert coef[2] == pytest.approx(1.0, rel=0.05)
 
     def test_rank_deficient_without_ridge(self):
@@ -79,11 +78,11 @@ class TestRegressConditional:
         states = np.hstack([col, col])  # duplicated coordinate
         y = col[:, 0]
         with pytest.raises(RegressionRankError):
-            regress_conditional(y, states, RegressionBasis(degree=1, ridge=0.0))
+            _regressor(states, RegressionBasis(degree=1, ridge=0.0))(y)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            regress_conditional(np.zeros(3), np.zeros((3, 1)), RegressionBasis())
+            _regressor(np.zeros((3, 1)), RegressionBasis())(np.zeros(3))
 
     def test_feature_count(self):
         basis = RegressionBasis(degree=2)

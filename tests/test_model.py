@@ -158,6 +158,11 @@ class TestLQEmbed:
         (lambda: ControlDomain(np.array([[0.0], [-np.inf]])), ValueError, "must be finite"),
         (lambda: validate_spec(scalar_spec(), samples=0), ValueError, "samples"),
         (
+            lambda: dataclasses.replace(scalar_spec().coefficients, b_xx=None),
+            ValueError,
+            "coefficient b_xx must be callable",
+        ),
+        (
             lambda: lq_embed(unit_lq(
                 n=2, k=1, x0=[0.0, 0.0],
                 b1=lambda t: np.zeros((2, 2)),
@@ -171,7 +176,7 @@ class TestLQEmbed:
         ),
     ],
     ids=["n=0", "d=-1", "k=0", "domain-k", "domain-nan", "domain-two-nan", "domain-inf",
-         "samples=0", "asymmetric-G"],
+         "samples=0", "coefficient-none", "asymmetric-G"],
 )
 def test_invalid_input_rejected(build, error, match):
     with pytest.raises(error, match=match):

@@ -42,27 +42,23 @@ from conftest import coupled_lq2d, nan_at_level_one_candidate, scalar_spec
 class TestDyadicInterval:
     def test_unit_horizon_level_one(self):
         grid = TimeGrid(T=1.0, depth=4)
-        iv = dyadic_interval(1.0, 1, 1, grid)
-        assert iv.eps == 0.5 and iv.tau == 0.5
-        assert iv.step_range == (0, 16)
+        assert dyadic_interval(1, 1, grid) == (0, 16)
 
     def test_longer_horizon(self):
         grid = TimeGrid(T=2.0, depth=4)
-        iv = dyadic_interval(2.0, 2, 2, grid)
-        assert iv.eps == 0.5 and iv.tau == 1.5
-        assert iv.step_range == (8, 16)
+        assert dyadic_interval(2, 2, grid) == (8, 16)
 
     def test_index_out_of_range(self):
         grid = TimeGrid(T=1.0, depth=4)
         with pytest.raises(ValueError):
-            dyadic_interval(1.0, 3, 5, grid)
+            dyadic_interval(3, 5, grid)
         with pytest.raises(ValueError):
-            dyadic_interval(1.0, 0, 1, grid)
+            dyadic_interval(0, 1, grid)
 
     def test_intervals_tile_grid(self):
         grid = TimeGrid(T=1.0, depth=5)
         for N in range(1, 6):
-            ranges = [dyadic_interval(1.0, N, j, grid).step_range for j in range(1, (1 << (N - 1)) + 1)]
+            ranges = [dyadic_interval(N, j, grid) for j in range(1, (1 << (N - 1)) + 1)]
             assert ranges[0][0] == 0 and ranges[-1][1] == grid.steps
             for (a, b), (c, d) in zip(ranges, ranges[1:]):
                 assert b == c
@@ -78,23 +74,20 @@ class TestSpikeControl:
     def test_full_interval(self):
         grid = TimeGrid(T=1.0, depth=3)
         u, gaps = self.make()
-        iv = dyadic_interval(1.0, 1, 1, grid)
-        out = spike_control(u, gaps, iv.step_range)
+        out = spike_control(u, gaps, dyadic_interval(1, 1, grid))
         assert np.all(out.values == 2)
 
     def test_half_interval(self):
         grid = TimeGrid(T=1.0, depth=3)
         u, gaps = self.make()
-        iv = dyadic_interval(1.0, 2, 1, grid)
-        out = spike_control(u, gaps, iv.step_range)
+        out = spike_control(u, gaps, dyadic_interval(2, 1, grid))
         assert np.all(out.values[:4] == 2) and np.all(out.values[4:] == 0)
 
     def test_no_op_when_argmin_is_current(self):
         grid = TimeGrid(T=1.0, depth=3)
         u = ControlProcess.constant(1, 3, 8, 3)
         gaps = GapProcess(np.zeros((8, 3)), np.full((8, 3), 1, dtype=np.int64))
-        iv = dyadic_interval(1.0, 1, 1, grid)
-        out = spike_control(u, gaps, iv.step_range)
+        out = spike_control(u, gaps, dyadic_interval(1, 1, grid))
         assert np.array_equal(out.values, u.values)
 
 
@@ -129,7 +122,7 @@ class TestFindDescentInterval:
             for N in (1, 2, 3):
                 j = find_descent_interval(gaps, mu_value, N, grid, 1.0)
                 assert j is not None
-                lo, hi = dyadic_interval(1.0, N, j, grid).step_range
+                lo, hi = dyadic_interval(N, j, grid)
                 integral = float(vals[lo:hi].sum(axis=0).mean() * grid.dt)
                 eps = 2.0 ** (-N)
                 assert integral <= 2.0 * eps * mu_value + 1e-9 * abs(mu_value)

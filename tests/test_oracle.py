@@ -17,7 +17,6 @@ from msa_control import (
     get_lq,
     get_problem,
     lq_embed,
-    lq_optimal_control,
     lyapunov_solve,
     prepare_state,
     rate_experiment,
@@ -79,7 +78,7 @@ class TestLQOptimalControl:
     def test_no_diffusion_cost_minimizes_g(self):
         lq = make_lq(g=lambda t, u: (u[:, 0] - 0.4) ** 2)
         grid = TimeGrid(T=1.0, depth=3)
-        u_star, _ = lq_optimal_control(lq, grid, lyapunov_solve(lq, grid))
+        u_star = build_oracle(lq, grid).u_star
         assert np.all(u_star == 1)  # u = 0 is the closest domain point to 0.4
 
     def test_quadratic_diffusion_cost(self):
@@ -90,9 +89,9 @@ class TestLQOptimalControl:
             sigma_u=lambda t, u: u[:, :, None],
         )
         grid = TimeGrid(T=1.0, depth=5)
-        u_star, J_star = lq_optimal_control(lq, grid, lyapunov_solve(lq, grid))
-        assert np.all(u_star == 1)
-        assert J_star == pytest.approx(1.0, abs=1e-8)
+        oracle = build_oracle(lq, grid)
+        assert np.all(oracle.u_star == 1)
+        assert oracle.J_star == pytest.approx(1.0, abs=1e-8)
 
     def test_registry_mc_cross_check(self):
         lq = get_lq("lq-scalar")
@@ -367,21 +366,9 @@ class TestVariationalSimulate:
             assert got == pins[name], name
 
     def test_missing_second_derivatives_rejected(self):
-        import dataclasses
-
-        from msa_control import ProblemSpec
-
         spec = lq_embed(get_lq("lq-scalar"))
-        bad_coeffs = dataclasses.replace(spec.coefficients, b_xx=None)
-        bad = ProblemSpec(
-            n=1, d=1, k=1, T=1.0, x0=[1.0], coefficients=bad_coeffs, domain=spec.domain
-        )
-        grid = TimeGrid(T=1.0, depth=3)
-        W = generate_brownian(grid, 5, 1, 0)
-        u = ControlProcess.constant(0, 5, grid.steps, bad.domain.size)
-        gaps = GapProcess(np.zeros((8, 5)), np.zeros((8, 5), dtype=np.int64))
         with pytest.raises(ValueError, match="b_xx"):
-            variational_simulate(bad, grid, W, simulate_state(bad, grid, W, u), gaps, (0, 4))
+            dataclasses.replace(spec.coefficients, b_xx=None)
 
 
 class TestVariationalExperiment:
@@ -492,3 +479,7 @@ class TestSequenceLemma:
             sequence_lemma_check(-0.1, 1.0, 10)
         with pytest.raises(ValueError):
             sequence_lemma_check(0.1, 0.0, 10)
+        with pytest.raises(ValueError):
+            sequence_lemma_check(float("nan"), 1.0, 10)
+        with pytest.raises(ValueError):
+            sequence_lemma_check(1.0, float("nan"), 10)

@@ -545,7 +545,7 @@ class TestControlProcess:
         assert u.values.shape == (8, 4) and not u.values.flags.writeable
         gaps = GapProcess(np.zeros((8, 4)), np.full((8, 4), 2, dtype=np.int64))
         grid = TimeGrid(T=1.0, depth=3)
-        spiked = spike_control(u, gaps, dyadic_interval(1.0, 2, 2, grid).step_range)
+        spiked = spike_control(u, gaps, dyadic_interval(2, 2, grid))
         assert spiked.values.flags.writeable
         assert np.all(u.values == 1)
         assert np.all(spiked.values[:4] == 1) and np.all(spiked.values[4:] == 2)

@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+import msa_control
 from msa_control import LQSpec, ProblemSpec, get_lq, get_problem, lq_embed, lq_names, problem_names
 
 
@@ -8,6 +11,30 @@ def test_names():
     assert problem_names() == ["lq-scalar", "nonconvex-diffusion"]
     assert lq_names() == ["lq-scalar"]
     assert set(lq_names()) <= set(problem_names())
+
+
+def test_public_names():
+    # adding or removing a name of the package takes an edit here; submodules are not names
+    names = sorted(
+        name for name, value in vars(msa_control).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == [
+        "AdjointFirst", "AdjointSecond", "BrownianEnsemble", "CSV_HEADER", "CoefficientSet",
+        "ControlDomain", "ControlProcess", "GapProcess", "IterationRecord", "LQOracle", "LQSpec",
+        "MSAConfig", "MSARun", "ProblemSpec", "ProvenanceError", "RateResult", "RegressionBasis",
+        "RegressionRankError", "RemainderResult", "SequenceResult", "ShapeError",
+        "SimulationError", "SolverState", "StateEnsemble", "TimeGrid", "ValidationCheck",
+        "ValidationReport", "VariationalResult", "adjoint_sweep", "array_bytes", "build_oracle",
+        "check_descent_log", "dyadic_interval", "empirical_moment", "evaluate_cost",
+        "find_descent_interval", "gap_process", "generate_brownian", "get_lq", "get_problem",
+        "h_function", "hamiltonian", "hessian_of_H", "load_array", "lq_closed_form_adjoint",
+        "lq_embed", "lq_names", "lyapunov_solve", "minimize_h", "msa_step", "mu",
+        "pathwise_cost", "prepare_state", "problem_names", "rate_experiment",
+        "records_from_csv", "records_to_csv", "remainder_experiment", "run_msa",
+        "sequence_lemma_check", "simulate_state", "solve_first_adjoint", "solve_second_adjoint",
+        "spike_control", "validate_spec", "variational_experiment", "variational_simulate",
+    ]
 
 
 @pytest.mark.parametrize("name", ["lq-scalar", "nonconvex-diffusion"])
