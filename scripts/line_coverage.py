@@ -5,7 +5,10 @@
 Runs pytest in this process (the ``tests/`` suite unless the arguments name
 other tests) under a ``sys.settrace``/``threading.settrace`` line tracer that
 follows only frames whose code lives in ``src/msa_control``, then prints each
-statement that never ran as ``path:line: source``.  Standard library only, so
+statement that never ran as ``path:line: source``.  A worker process forked by
+the path split keeps tracing into its own copy of the executed lines; each
+one writes them to a temporary directory as it leaves through ``os._exit``,
+and they are merged before the report.  Standard library only, so
 it works where the ``coverage`` package is not installed; tracing makes the
 suite about 1.5x slower.  Exits with pytest's status.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import ast
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -56,7 +60,17 @@ def main(argv: list) -> int:
             files[name] = path if path.startswith(prefix) else None
         return local if files[name] else None
 
+    caller, real_exit = os.getpid(), os._exit
+    spills = Path(tempfile.mkdtemp(prefix="line_coverage."))
+
+    def exit_with_lines(status):  # a forked worker hands its lines over first
+        if os.getpid() != caller:
+            with open(spills / str(os.getpid()), "w") as fh:
+                fh.writelines(f"{line} {path}\n" for path, line in executed)
+        real_exit(status)
+
     os.chdir(ROOT)
+    os._exit = exit_with_lines
     threading.settrace(trace)
     sys.settrace(trace)
     try:
@@ -64,6 +78,13 @@ def main(argv: list) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+        os._exit = real_exit
+        for spill in spills.iterdir():
+            for entry in spill.read_text().splitlines():
+                line, path = entry.split(" ", 1)
+                executed.add((path, int(line)))
+            spill.unlink()
+        spills.rmdir()
 
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):

@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--threads", type=int, default=1,
-                       help=f"ignored: ensembles of {2 * _PATHS_PER_WORKER}+ paths use every "
-                            "CPU taskset allows, with bitwise identical results")
+                       help=f"ignored: ensembles of {2 * _PATHS_PER_WORKER}+ paths fork a worker "
+                            "process per CPU taskset allows, with bitwise identical results")
 
     p = sub.add_parser("solve", help="run the MSA solver on a problem")
     p.add_argument("--config", required=True, help="JSON run configuration")

@@ -29,6 +29,7 @@ from .paths import (
     StateEnsemble,
     TimeGrid,
     _check_provenance,
+    _shared,
     _split_paths,
     evaluate_cost,
     pathwise_cost,
@@ -351,9 +352,11 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config):
         for k, (lo, hi) in enumerate(ranges):
             if lo <= i < hi:
                 deltas[k] = _cn_step(deltas[k], b_sel, s2_sel, gap, dt, dx)
-    gap_paths = [np.zeros(config.M) for _ in ranges]
+    gap_paths = [_shared((config.M,), config.M) for _ in ranges]
 
     def accumulate(p_lo, p_hi):
+        for acc in gap_paths:  # a range run again starts from zero
+            acc[p_lo:p_hi] = 0.0
         for i in rows:
             inside = [acc[p_lo:p_hi] for (lo, hi), acc in zip(ranges, gap_paths) if lo <= i < hi]
             term = _lattice_interp(window[i - rows.start, p_lo:p_hi, 0], xs, S[i - rows.start]) * dt
@@ -500,8 +503,8 @@ class SequenceResult:
 def sequence_lemma_check(a1: float, A: float, m_max: int) -> SequenceResult:
     """Iterate the extremal recurrence a_{m+1} = a_m - A a_m^3 (clamped at 0)
     and verify a_m sqrt(m) <= max(a_1, A^{-1/2}) for all m <= m_max."""
-    if not (a1 >= 0 and A > 0):  # written as "not ok" so that a NaN fails it
-        raise ValueError("need a1 >= 0 and A > 0")
+    if not (0 <= a1 < np.inf and 0 < A < np.inf):  # written as "not ok" so that a NaN fails it
+        raise ValueError("need finite a1 >= 0 and A > 0")
     bound = max(a1, A ** -0.5)
     a = a1
     max_b = 0.0

@@ -12,17 +12,19 @@ adjoints and gaps) is time-major, (steps, M, .), so the per-step slice
 argmins) take ``ControlProcess.index_dtype(V)``, the smallest unsigned type holding V - 1.
 
 Euler simulation and the remainder's per-path sums give each usable CPU a
-thread and a contiguous path range once M >= 2 * _PATHS_PER_WORKER (numpy
-drops the interpreter lock in its loops).  The one Euler loop, stream_states(spec,
-grid, W, u, rows), steps _STREAM_BLOCK paths per worker at a time on W's increments,
-or draws them if W is a seed.  No Euler operation reduces across paths and path p always
-draws the (seed, p) stream, so the bits depend neither on the CPUs nor on the block.
+contiguous path range once M >= 2 * _PATHS_PER_WORKER: the caller steps the last
+and a forked process each other one, into _shared memory.  The one Euler loop,
+stream_states(spec, grid, W, u, rows), steps _STREAM_BLOCK paths per worker at a
+time on W's increments, or draws them if W is a seed.  No Euler operation reduces
+across paths and path p always draws the (seed, p) stream, so the bits depend
+neither on the CPUs nor on the block.
 """
 
 from __future__ import annotations
 
-import contextvars
+import math
 import os
+import pickle
 import struct
 from dataclasses import dataclass
 
@@ -35,8 +37,10 @@ Array = np.ndarray
 # Paths drawn per block before the block is copied into the time-major buffer.
 _BROWNIAN_BLOCK = 512
 _STREAM_BLOCK = 8192  # paths a stream_states worker steps (and, if seeded, draws) at a time
-# Fewest paths per thread.  Two threads step lq-scalar (the cheapest
-# coefficients) at 0.77x the serial speed at M=16384 and 1.2x at M=32768.
+# Fewest paths per worker.  Two forked workers stream lq-scalar (the cheapest
+# coefficients) from a seed at G=9 at 1.7x the serial speed at M=16384 and 32768,
+# but on a frozen W at G=8 only at 0.7x to 1.2x up to M=65536, as the shared
+# window's page faults cost about what the second CPU saves.
 _PATHS_PER_WORKER = 16384
 
 
@@ -101,7 +105,9 @@ def _fill_brownian(out: Array, first: int, seed: int, dt: float) -> Array:
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     key = fresh["state"]["key"]
-    block = np.empty((_BROWNIAN_BLOCK, steps, d))
+    # padded so that a path's row is not a multiple of 4 KiB long (512 steps
+    # at d=1), which would map the transposing copy's reads onto a few cache sets
+    block = np.empty((_BROWNIAN_BLOCK, steps + 8, d))[:, :steps]
     for start in range(0, size, _BROWNIAN_BLOCK):
         n = min(_BROWNIAN_BLOCK, size - start)
         for k in range(n):
@@ -165,20 +171,61 @@ class StateEnsemble:
     control_values: Array
 
 
-def _split_paths(M: int, fn) -> list:
-    """Call fn(lo, hi) on contiguous ranges covering paths [0, M), one per
-    worker thread, each in a copy of the caller's context (numpy's errstate);
-    inline with one worker.  Results and the first exception come in range order."""
+def _path_ranges(M: int) -> list:
+    """Contiguous (lo, hi) ranges splitting paths [0, M): one per usable CPU, each
+    of at least _PATHS_PER_WORKER paths, and one where os.fork is missing."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(cpus or 1, M // _PATHS_PER_WORKER))
-    if workers == 1:
-        return [fn(0, M)]
-    from concurrent.futures import ThreadPoolExecutor
+    workers = max(1, min(cpus or 1, M // _PATHS_PER_WORKER)) if hasattr(os, "fork") else 1
+    return [(M * w // workers, M * (w + 1) // workers) for w in range(workers)]
 
-    bounds = [M * w // workers for w in range(workers + 1)]
-    contexts = [contextvars.copy_context() for _ in range(workers)]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(lambda ctx, lo, hi: ctx.run(fn, lo, hi), contexts, bounds, bounds[1:]))
+
+def _shared(shape, M: int) -> Array:
+    """Uninitialised float64s that the forked workers of a split of M paths can write into."""
+    if len(_path_ranges(M)) == 1:  # no worker: a fresh mapping would fault in every page
+        return np.empty(shape)
+    import mmap  # here, not at the top: it adds about 1 ms to every import of the package
+    return np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * math.prod(shape), 1)))
+
+
+def _split_paths(M: int, fn) -> list:
+    """[fn(lo, hi) for lo, hi in _path_ranges(M)]: the caller runs the last range
+    and a forked worker each other one, so fn must write only into _shared arrays.
+    A range whose worker raised or died runs again in the caller: fn is
+    deterministic, so the first exception in range order is raised as is."""
+    ranges = _path_ranges(M)
+    pids, pipes, records = [], [], []
+    try:
+        for lo, hi in ranges[:-1]:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if not pid:  # the worker: its pickled result or nothing, then out
+                    try:
+                        os.write(write, pickle.dumps(fn(lo, hi)))
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        try:
+            own = (True, fn(*ranges[-1]))
+        except Exception as exc:
+            own = (False, exc)
+        for pipe in pipes:
+            try:
+                records.append((True, pickle.load(pipe)))
+            except (EOFError, pickle.UnpicklingError):  # it raised, or died mid-record
+                records.append((False, None))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    results = [value if ok else fn(lo, hi) for (ok, value), (lo, hi) in zip(records, ranges)]
+    if not own[0]:
+        raise own[1]
+    return results + [own[1]]
 
 
 def _euler_step(spec: ProblemSpec, grid: TimeGrid, i: int, x: Array, u_pts: Array, dw: Array,
@@ -215,7 +262,7 @@ def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
         raise ValueError("control index out of domain range")
     steps, M = u.values.shape
     pts = spec.domain.points
-    window = np.empty((len(rows), M, spec.n))
+    window = _shared((len(rows), M, spec.n), M)
 
     def state_row(i, start, end):  # step i of paths start .. end - 1, in the window if kept
         return window[i - rows.start, start:end] if i in rows else np.empty((end - start, spec.n))

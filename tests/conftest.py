@@ -146,26 +146,26 @@ def zero_spec():
 @pytest.fixture
 def path_split(monkeypatch):
     """force(cpus, per_worker) sets the CPU count and the paths-per-worker
-    floor of the path split, and returns a record of the thread pools it then
-    creates (``pools``) and the path ranges they are given (``ranges``)."""
-    import concurrent.futures
+    floor of the path split, and returns a record of the splits that then
+    start workers (``pools``) and every path range of those splits, the
+    caller's own included (``ranges``)."""
     import os
     from types import SimpleNamespace
 
-    from msa_control import paths
+    from msa_control import oracle, paths
 
     record = SimpleNamespace(pools=0, ranges=[])
+    split_paths = paths._split_paths
 
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
+    def recording(M, fn):
+        ranges = paths._path_ranges(M)
+        if len(ranges) > 1:
             record.pools += 1
-            super().__init__(*args, **kwargs)
+            record.ranges.extend(ranges)
+        return split_paths(M, fn)
 
-        def submit(self, fn, *args, **kwargs):
-            record.ranges.append(args[-2:])
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    for module in (paths, oracle):
+        monkeypatch.setattr(module, "_split_paths", recording)
 
     def force(cpus, per_worker):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))

@@ -483,3 +483,7 @@ class TestSequenceLemma:
             sequence_lemma_check(float("nan"), 1.0, 10)
         with pytest.raises(ValueError):
             sequence_lemma_check(1.0, float("nan"), 10)
+        with pytest.raises(ValueError):
+            sequence_lemma_check(float("inf"), 1.0, 10)
+        with pytest.raises(ValueError):
+            sequence_lemma_check(1.0, float("inf"), 10)

@@ -1,6 +1,8 @@
 
+import dataclasses
 import hashlib
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -244,6 +246,104 @@ class TestPathSplit:
         grid, W, u = self.ensemble(zero_spec, depth=3)
         simulate_state(zero_spec, grid, W, u)
         assert record.pools == 0 and record.ranges == []
+
+    def test_caller_errstate_applies_in_forked_workers(self, path_split):
+        # the drift overflows, then is clipped to a finite value, only on the
+        # first path, which a forked worker steps: only errstate can raise
+        spec = scalar_spec(b=lambda t, x, u: np.minimum(np.where(u > 0.5, 1e308, 0.0) * 10.0, 1.0))
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, self.M, 1, 3)
+        values = np.zeros((grid.steps, self.M), dtype=np.int64)
+        values[-1, 0] = 2
+        for workers in (2, 3):
+            path_split(cpus=workers, per_worker=100)
+            with np.errstate(over="ignore"):
+                simulate_state(spec, grid, W, ControlProcess(values, 3))
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                simulate_state(spec, grid, W, ControlProcess(values, 3))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_worker_outlives_split(self, path_split, workers):
+        # after a split that returns, one whose caller (last) range raises and
+        # one whose first worker's range raises, this process has no child
+        class Boom(Exception):
+            pass
+
+        def b(t, x, u):
+            if np.any(u > 0.5):
+                raise Boom("drift failed")
+            return np.zeros_like(x)
+
+        spec = scalar_spec(b=b)
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, self.M, 1, 3)
+        record = path_split(cpus=workers, per_worker=100)
+        simulate_state(spec, grid, W, ControlProcess.constant(0, self.M, grid.steps, 3))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        for path in (-1, 0):
+            values = np.zeros((grid.steps, self.M), dtype=np.int64)
+            values[-1, path] = 2
+            with pytest.raises(Boom, match="drift failed"):
+                simulate_state(spec, grid, W, ControlProcess(values, 3))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert record.pools == 3
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_dead_worker_range_recomputed(self, path_split, workers, tmp_path):
+        # every forked worker notes its death and ends itself halfway through
+        # its range's steps; the caller then steps that range itself
+        spec = get_problem("nonconvex-diffusion")
+        caller, deaths, b = os.getpid(), tmp_path / "deaths", spec.coefficients.b
+
+        def dying(t, x, u):
+            if os.getpid() != caller and t >= 0.5:
+                with open(deaths, "a") as fh:
+                    fh.write("died\n")
+                os._exit(1)
+            return b(t, x, u)
+
+        coefficients = dataclasses.replace(spec.coefficients, b=dying)
+        mortal = dataclasses.replace(spec, coefficients=coefficients)
+        grid, W, u = self.ensemble(spec)
+        path_split(cpus=1, per_worker=100)
+        X = simulate_state(spec, grid, W, u).states
+        window, low, high = stream_states(spec, grid, 3, u, range(4, 20))
+        record = path_split(cpus=workers, per_worker=100)
+        assert np.array_equal(simulate_state(mortal, grid, W, u).states, X)
+        streamed = stream_states(mortal, grid, 3, u, range(4, 20))
+        assert np.array_equal(streamed[0], window) and streamed[1:] == (low, high)
+        assert record.pools == 2 and deaths.read_text().count("died") == 2 * (workers - 1)
+
+    def test_dead_worker_remainder_sums_recomputed(self, path_split, monkeypatch, tmp_path):
+        # a forked worker dies after adding part of its paths' gap sums: the
+        # caller's rerun of that range must not add them a second time
+        from msa_control import oracle
+
+        spec = get_problem("nonconvex-diffusion")
+        config = MSAConfig(M=self.M, depth=6, N_max=6, seed=3)
+        args = (spec, spec.domain.size - 1, 0.5, [0.25, 0.125], config)
+        path_split(cpus=1, per_worker=100)
+        serial = remainder_experiment(*args)
+        caller, deaths, interp = os.getpid(), tmp_path / "deaths", oracle._lattice_interp
+        calls = []  # each worker counts in its own copy
+
+        def dying(*interp_args):
+            if os.getpid() != caller:
+                calls.append(None)
+                if len(calls) > 5:
+                    with open(deaths, "a") as fh:
+                        fh.write("died\n")
+                    os._exit(1)
+            return interp(*interp_args)
+
+        monkeypatch.setattr(oracle, "_lattice_interp", dying)
+        for workers in (2, 3):
+            path_split(cpus=workers, per_worker=100)
+            result = remainder_experiment(*args)
+            assert result.rows == serial.rows and result.standard_errors == serial.standard_errors
+        assert deaths.read_text().count("died") == 1 + 2
 
 
 class TestStreamedSimulation:
