@@ -39,8 +39,8 @@ _BROWNIAN_BLOCK = 512
 _STREAM_BLOCK = 8192  # paths a stream_states worker steps (and, if seeded, draws) at a time
 # Fewest paths per worker.  Two forked workers stream lq-scalar (the cheapest
 # coefficients) from a seed at G=9 at 1.7x the serial speed at M=16384 and 32768,
-# but on a frozen W at G=8 only at 0.7x to 1.2x up to M=65536, as the shared
-# window's page faults cost about what the second CPU saves.
+# but on a frozen W at G=8 at only 1.0x to 1.3x at M=32768 and 1.1x to 1.6x at
+# 65536, as the shared window's pages fault in 4 KiB at a time.
 _PATHS_PER_WORKER = 16384
 
 
@@ -105,9 +105,7 @@ def _fill_brownian(out: Array, first: int, seed: int, dt: float) -> Array:
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     key = fresh["state"]["key"]
-    # padded so that a path's row is not a multiple of 4 KiB long (512 steps
-    # at d=1), which would map the transposing copy's reads onto a few cache sets
-    block = np.empty((_BROWNIAN_BLOCK, steps + 8, d))[:, :steps]
+    block = np.empty((_BROWNIAN_BLOCK, steps, d))
     for start in range(0, size, _BROWNIAN_BLOCK):
         n = min(_BROWNIAN_BLOCK, size - start)
         for k in range(n):
@@ -184,14 +182,18 @@ def _shared(shape, M: int) -> Array:
     if len(_path_ranges(M)) == 1:  # no worker: a fresh mapping would fault in every page
         return np.empty(shape)
     import mmap  # here, not at the top: it adds about 1 ms to every import of the package
-    return np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * math.prod(shape), 1)))
+    try:
+        return np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * math.prod(shape), 1)))
+    except OSError:  # an anonymous mapping fails only for want of memory: say so as np.empty does
+        raise MemoryError(f"Unable to allocate {8 * math.prod(shape) / 2**30:.3g} GiB of shared "
+                          f"memory for an array with shape {shape} and data type float64") from None
 
 
 def _split_paths(M: int, fn) -> list:
     """[fn(lo, hi) for lo, hi in _path_ranges(M)]: the caller runs the last range
     and a forked worker each other one, so fn must write only into _shared arrays.
-    A range whose worker raised or died runs again in the caller: fn is
-    deterministic, so the first exception in range order is raised as is."""
+    A range whose worker raised, died or could not be forked runs again in the
+    caller: fn is deterministic, so the first exception in range order is raised as is."""
     ranges = _path_ranges(M)
     pids, pipes, records = [], [], []
     try:
@@ -199,15 +201,17 @@ def _split_paths(M: int, fn) -> list:
             read, write = os.pipe()
             pipes.append(open(read, "rb"))
             try:
-                pid = os.fork()
-                if not pid:  # the worker: its pickled result or nothing, then out
+                pids.append(os.fork())
+            except OSError:  # no process to spare: the empty pipe reruns the range in the caller
+                pass
+            else:
+                if not pids[-1]:  # the worker: its pickled result or nothing, then out
                     try:
                         os.write(write, pickle.dumps(fn(lo, hi)))
                     finally:
                         os._exit(0)
             finally:
                 os.close(write)
-            pids.append(pid)
         try:
             own = (True, fn(*ranges[-1]))
         except Exception as exc:

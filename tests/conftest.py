@@ -146,9 +146,9 @@ def zero_spec():
 @pytest.fixture
 def path_split(monkeypatch):
     """force(cpus, per_worker) sets the CPU count and the paths-per-worker
-    floor of the path split, and returns a record of the splits that then
-    start workers (``pools``) and every path range of those splits, the
-    caller's own included (``ranges``)."""
+    floor of the path split, and returns a record of the splits in which a
+    forked worker then ran a path range (``pools``) and every range that ran
+    in those splits, the caller's own included (``ranges``)."""
     import os
     from types import SimpleNamespace
 
@@ -159,10 +159,22 @@ def path_split(monkeypatch):
 
     def recording(M, fn):
         ranges = paths._path_ranges(M)
-        if len(ranges) > 1:
-            record.pools += 1
-            record.ranges.extend(ranges)
-        return split_paths(M, fn)
+        if len(ranges) == 1:
+            return split_paths(M, fn)
+        runners = paths._shared((len(ranges),), M)  # the pid that first ran each range
+        runners[:] = 0
+
+        def marking(lo, hi):
+            k = ranges.index((lo, hi))
+            runners[k] = runners[k] or os.getpid()
+            return fn(lo, hi)
+
+        try:
+            return split_paths(M, marking)
+        finally:
+            if any(pid not in (0, os.getpid()) for pid in runners):
+                record.pools += 1
+                record.ranges.extend(r for r, pid in zip(ranges, runners) if pid)
 
     for module in (paths, oracle):
         monkeypatch.setattr(module, "_split_paths", recording)

@@ -482,25 +482,40 @@ class TestExitContract:
                 breaches.append(f"{command} {json.dumps(cfg)}: exit {rc}, {err!r}, {warned}")
         assert breaches == []
 
-    def test_out_of_memory_exits_numerical(self, tmp_path):
-        # lq-scalar's W alone is 3.05 GiB at M=100000, G=12, under the config
-        # resolver's limit; the child may map 1.5 GiB, so numpy's allocation fails
+    def run_out_of_memory(self, tmp_path, argv, config, allocation):
+        # the child may map 1.5 GiB, so the allocation fails
         def limit_address_space():  # runs in the child only
             resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
 
-        cfg = write_config(tmp_path, M=100_000, G=12, m_max=1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
         src = os.path.dirname(os.path.dirname(msa_control.__file__))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
-            [sys.executable, "-m", "msa_control.cli", "solve", "--config", str(cfg),
+            [sys.executable, "-m", "msa_control.cli", *argv, "--config", str(cfg),
              "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
         )
         assert proc.returncode == EXIT_NUMERICAL, proc.stderr
-        assert re.fullmatch(r"numerical failure: Unable to allocate .* GiB for an array "
-                            r"with shape \(4096, 100000, 1\) and data type float64\n", proc.stderr)
+        assert re.fullmatch(f"numerical failure: {allocation}\n", proc.stderr)
         assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_exits_numerical(self, tmp_path):
+        # lq-scalar's W alone is 3.05 GiB at M=100000, G=12, under the config
+        # resolver's limit
+        self.run_out_of_memory(
+            tmp_path, ["solve"], {"problem": "lq-scalar", "M": 100_000, "G": 12, "m_max": 1},
+            r"Unable to allocate .* GiB for an array with shape \(4096, 100000, 1\) and data type float64")
+
+    def test_shared_memory_exhausted_exits_numerical(self, tmp_path):
+        # the remainder's window of states is 5.72 GiB at M=3000000, G=9; on
+        # 2+ CPUs it is shared memory for the forked workers, not numpy's
+        self.run_out_of_memory(
+            tmp_path, ["validate", "remainder"],
+            {"problem": "nonconvex-diffusion", "M": 3_000_000, "G": 9},
+            r"Unable to allocate 5\.72 GiB (of shared memory )?for an array with shape "
+            r"\(256, 3000000, 1\) and data type float64")
 
 
 # n = d = k = 2: validate remainder takes the direct estimator on it

@@ -1,5 +1,6 @@
 
 import dataclasses
+import errno
 import hashlib
 import itertools
 import os
@@ -289,6 +290,46 @@ class TestPathSplit:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
         assert record.pools == 3
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failed_fork_range_run_by_caller(self, path_split, monkeypatch, workers):
+        # the first os.fork fails, as under strict overcommit: the caller steps
+        # that range itself, and any later fork still starts a worker
+        spec = get_problem("nonconvex-diffusion")
+        grid, W, u = self.ensemble(spec)
+        path_split(cpus=1, per_worker=100)
+        X = simulate_state(spec, grid, W, u).states
+        fork, forks = os.fork, []
+
+        def failing_first_fork():
+            forks.append(None)
+            if len(forks) == 1:
+                raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_first_fork)
+        record = path_split(cpus=workers, per_worker=100)
+        assert np.array_equal(simulate_state(spec, grid, W, u).states, X)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == workers - 1
+        assert record.pools == workers - 2 and len(record.ranges) == (0 if workers == 2 else 3)
+
+    def test_refused_shared_window_raises_memory_error(self, path_split, monkeypatch):
+        # the kernel refuses the shared window (mmap raises ENOMEM): the split
+        # reports it as the MemoryError np.empty raises for a private one
+        import mmap
+
+        def refused(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        spec = get_problem("nonconvex-diffusion")
+        grid, W, u = self.ensemble(spec)
+        monkeypatch.setattr(mmap, "mmap", refused)
+        path_split(cpus=2, per_worker=100)
+        with pytest.raises(MemoryError, match=r"^Unable to allocate .* GiB of shared memory for an "
+                                              r"array with shape \(33, 301, 1\) and data type float64$"):
+            simulate_state(spec, grid, W, u)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_dead_worker_range_recomputed(self, path_split, workers, tmp_path):
