@@ -200,9 +200,6 @@ def _resolve(cfg, command: str, seed):
                        else f"M*2^G*((n+d+1)*8+3*{idx})")
             raise ConfigError(f"M={config.M}, G={config.depth}: paths need about 2^{bits:.1f} "
                               f"bytes ({formula}), over the {_MAX_PATH_BYTES >> 30} GiB limit")
-    if config.ridge == 0 and config.degree >= 1:
-        # every path starts at x0, so the step-0 design matrix has rank 1
-        raise ConfigError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")
     if bench:
         return None, config, None
     if command != "solve" and config.depth < _EPS_LEVELS[-1]:

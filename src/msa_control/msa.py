@@ -121,15 +121,20 @@ class MSAConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):
+        # written as "not ok" so that a NaN fails them
+        if not self.depth >= 1:
+            raise ValueError("grid depth must be at least 1")
         if self.N_max is None:
             object.__setattr__(self, "N_max", self.depth)
-        # written as "not ok" so that a NaN fails them
         if not 1 <= self.N_max <= self.depth:
             raise ValueError("N_max must be between 1 and the grid depth")
         if not (self.m_max >= 0 and self.M >= 1):
             raise ValueError("m_max must be >= 0 and M >= 1")
         if not (self.mu_tol >= 0 and self.degree >= 0 and self.ridge >= 0):
             raise ValueError("mu_tol, degree and ridge must be nonnegative")
+        if self.ridge == 0 and self.degree >= 1:
+            # every path starts at x0, so the step-0 design matrix has rank 1
+            raise ValueError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")
 
     @property
     def basis(self) -> RegressionBasis:

@@ -352,11 +352,10 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config):
         for k, (lo, hi) in enumerate(ranges):
             if lo <= i < hi:
                 deltas[k] = _cn_step(deltas[k], b_sel, s2_sel, gap, dt, dx)
-    gap_paths = [_shared((config.M,), config.M) for _ in ranges]
+    gap_paths = _shared((len(ranges), config.M), config.M)
 
-    def accumulate(p_lo, p_hi):
-        for acc in gap_paths:  # a range run again starts from zero
-            acc[p_lo:p_hi] = 0.0
+    def accumulate(k, p_lo, p_hi):
+        gap_paths[:, p_lo:p_hi] = 0.0  # a range run again starts from zero
         for i in rows:
             inside = [acc[p_lo:p_hi] for (lo, hi), acc in zip(ranges, gap_paths) if lo <= i < hi]
             term = _lattice_interp(window[i - rows.start, p_lo:p_hi, 0], xs, S[i - rows.start]) * dt

@@ -13,18 +13,19 @@ argmins) take ``ControlProcess.index_dtype(V)``, the smallest unsigned type hold
 
 Euler simulation and the remainder's per-path sums give each usable CPU a
 contiguous path range once M >= 2 * _PATHS_PER_WORKER: the caller steps the last
-and a forked process each other one, into _shared memory.  The one Euler loop,
-stream_states(spec, grid, W, u, rows), steps _STREAM_BLOCK paths per worker at a
-time on W's increments, or draws them if W is a seed.  No Euler operation reduces
-across paths and path p always draws the (seed, p) stream, so the bits depend
-neither on the CPUs nor on the block.
+and a forked process each other one, into _shared memory.  A worker's results come
+back only there, and its exit status alone says it finished: the caller reruns the
+range of one that exited non-zero, was killed or could not be forked.  The one
+Euler loop, stream_states(spec, grid, W, u, rows), steps _STREAM_BLOCK paths per
+worker at a time on W's increments, or draws them if W is a seed.  No Euler
+operation reduces across paths and path p always draws the (seed, p) stream, so
+the bits depend neither on the CPUs nor on the block.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
 import struct
 from dataclasses import dataclass
 
@@ -134,6 +135,8 @@ class ControlProcess:
 
     def __post_init__(self):
         vals = np.asarray(self.values)
+        if not np.issubdtype(vals.dtype, np.integer):  # a cast would make NaN, 1.5 or True an index
+            raise ValueError(f"control indices must be integers, not {vals.dtype}")
         # a zero-stride (broadcast) axis repeats one element: check it once
         once = vals[tuple(slice(None) if s else slice(0, 1) for s in vals.strides)]
         if once.min() < 0 or once.max() >= self.num_points:
@@ -189,47 +192,37 @@ def _shared(shape, M: int) -> Array:
                           f"memory for an array with shape {shape} and data type float64") from None
 
 
-def _split_paths(M: int, fn) -> list:
-    """[fn(lo, hi) for lo, hi in _path_ranges(M)]: the caller runs the last range
-    and a forked worker each other one, so fn must write only into _shared arrays.
-    A range whose worker raised, died or could not be forked runs again in the
-    caller: fn is deterministic, so the first exception in range order is raised as is."""
+def _split_paths(M: int, fn) -> None:
+    """fn(k, lo, hi) for each range k, (lo, hi), of _path_ranges(M): the caller runs
+    the last range and a forked worker each other one, so fn must write only into
+    _shared arrays.  A range whose worker exited non-zero (fn raised, or it was killed)
+    or could not be forked runs again in the caller, in range order and before the
+    caller's own exception: fn is deterministic, so the first in range order is raised."""
     ranges = _path_ranges(M)
-    pids, pipes, records = [], [], []
+    pids, own = [], None
     try:
-        for lo, hi in ranges[:-1]:
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
+        for k, (lo, hi) in enumerate(ranges[:-1]):
             try:
                 pids.append(os.fork())
-            except OSError:  # no process to spare: the empty pipe reruns the range in the caller
-                pass
-            else:
-                if not pids[-1]:  # the worker: its pickled result or nothing, then out
-                    try:
-                        os.write(write, pickle.dumps(fn(lo, hi)))
-                    finally:
-                        os._exit(0)
-            finally:
-                os.close(write)
+            except OSError:  # no process to spare: the caller reruns the range
+                pids.append(None)
+            if pids[-1] == 0:  # the worker
+                try:
+                    fn(k, lo, hi)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
         try:
-            own = (True, fn(*ranges[-1]))
+            fn(len(ranges) - 1, *ranges[-1])
         except Exception as exc:
-            own = (False, exc)
-        for pipe in pipes:
-            try:
-                records.append((True, pickle.load(pipe)))
-            except (EOFError, pickle.UnpicklingError):  # it raised, or died mid-record
-                records.append((False, None))
+            own = exc
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-    results = [value if ok else fn(lo, hi) for (ok, value), (lo, hi) in zip(records, ranges)]
-    if not own[0]:
-        raise own[1]
-    return results + [own[1]]
+        statuses = [pid and os.waitpid(pid, 0)[1] for pid in pids]
+    for k, ((lo, hi), status) in enumerate(zip(ranges, statuses)):
+        if status != 0:  # None where the fork failed
+            fn(k, lo, hi)
+    if own is not None:
+        raise own
 
 
 def _euler_step(spec: ProblemSpec, grid: TimeGrid, i: int, x: Array, u_pts: Array, dw: Array,
@@ -267,11 +260,12 @@ def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
     steps, M = u.values.shape
     pts = spec.domain.points
     window = _shared((len(rows), M, spec.n), M)
+    extremes = _shared((len(_path_ranges(M)), 2), M)  # each range's (min, max)
 
     def state_row(i, start, end):  # step i of paths start .. end - 1, in the window if kept
         return window[i - rows.start, start:end] if i in rows else np.empty((end - start, spec.n))
 
-    def step_range(lo, hi):
+    def step_range(k, lo, hi):
         seeded = not isinstance(W, BrownianEnsemble)
         buf = np.empty((steps, min(_STREAM_BLOCK, hi - lo), spec.d)) if seeded else None
         low, high = np.inf, -np.inf
@@ -294,10 +288,10 @@ def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
             if bad_at.max() >= 0:
                 p = int(np.argmax(bad_at >= 0))
                 raise SimulationError(f"non-finite state at path {start + p}, step {bad_at[p]}")
-        return low, high
+        extremes[k] = low, high
 
-    lows, highs = zip(*_split_paths(M, step_range))
-    return window, min(lows), max(highs)
+    _split_paths(M, step_range)
+    return window, extremes[:, 0].min(), extremes[:, 1].max()
 
 
 def _check_provenance(X: StateEnsemble, u: ControlProcess) -> None:

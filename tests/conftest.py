@@ -164,10 +164,9 @@ def path_split(monkeypatch):
         runners = paths._shared((len(ranges),), M)  # the pid that first ran each range
         runners[:] = 0
 
-        def marking(lo, hi):
-            k = ranges.index((lo, hi))
+        def marking(k, lo, hi):
             runners[k] = runners[k] or os.getpid()
-            return fn(lo, hi)
+            return fn(k, lo, hi)
 
         try:
             return split_paths(M, marking)

@@ -293,11 +293,13 @@ class TestValidate:
             ("sequence", {"m_max": "abc"}, "error: m_max must be an integer"),
             # 2^30 bytes of paths, but seven (2^24, 2001) lattice arrays of 268 GB each
             ("remainder", {"M": 4, "G": 24}, "error: M=4, G=24: paths need about 2^40.8"),
+            ("remainder", {"M": 200, "G": 0},
+             "error: bad run configuration: grid depth must be at least 1"),
         ],
         ids=[
             "remainder-u0-index", "remainder-coarse-grid", "variational-coarse-grid",
             "variational-M-not-above-features", "remainder-u0-index-bool", "sequence-m_max-0",
-            "sequence-m_max-string", "remainder-lattice-footprint",
+            "sequence-m_max-string", "remainder-lattice-footprint", "remainder-G-0",
         ],
     )
     def test_bad_config_exits_config(self, tmp_path, capsys, experiment, cfg, cause):

@@ -417,6 +417,17 @@ class TestMSAConfig:
         with pytest.raises(ValueError, match="N_max must be between 1 and the grid depth"):
             MSAConfig(depth=5, N_max=N_max)
 
+    @pytest.mark.parametrize("depth", [0, -1, float("nan")])
+    def test_grid_depth_below_one_rejected(self, depth):
+        # checked before N_max, which defaults to the depth
+        with pytest.raises(ValueError, match="^grid depth must be at least 1$"):
+            MSAConfig(depth=depth)
+
+    def test_ridge_zero_needs_degree_zero(self):
+        assert MSAConfig(ridge=0.0, degree=0).ridge == 0.0
+        with pytest.raises(ValueError, match=r"^ridge = 0 needs degree = 0: the step-0 regression"):
+            MSAConfig(ridge=0.0, degree=1)
+
 
 class TestSerialization:
     def rows(self):

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import itertools
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -331,10 +332,17 @@ class TestPathSplit:
                                               r"array with shape \(33, 301, 1\) and data type float64$"):
             simulate_state(spec, grid, W, u)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_dead_worker_range_recomputed(self, path_split, workers, tmp_path):
+    @pytest.mark.parametrize(
+        "workers, die",
+        [(w, die) for die in (lambda: os._exit(1), lambda: os.kill(os.getpid(), signal.SIGKILL))
+         for w in (2, 3)],
+        ids=["2", "3", "2-sigkill", "3-sigkill"],
+    )
+    def test_dead_worker_range_recomputed(self, path_split, workers, die, tmp_path):
         # every forked worker notes its death and ends itself halfway through
-        # its range's steps; the caller then steps that range itself
+        # its range's steps, by a non-zero exit or by SIGKILL (as the
+        # out-of-memory killer ends it, running no finally); the caller then
+        # steps that range itself and leaves no child behind
         spec = get_problem("nonconvex-diffusion")
         caller, deaths, b = os.getpid(), tmp_path / "deaths", spec.coefficients.b
 
@@ -342,7 +350,7 @@ class TestPathSplit:
             if os.getpid() != caller and t >= 0.5:
                 with open(deaths, "a") as fh:
                     fh.write("died\n")
-                os._exit(1)
+                die()
             return b(t, x, u)
 
         coefficients = dataclasses.replace(spec.coefficients, b=dying)
@@ -356,6 +364,8 @@ class TestPathSplit:
         streamed = stream_states(mortal, grid, 3, u, range(4, 20))
         assert np.array_equal(streamed[0], window) and streamed[1:] == (low, high)
         assert record.pools == 2 and deaths.read_text().count("died") == 2 * (workers - 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_dead_worker_remainder_sums_recomputed(self, path_split, monkeypatch, tmp_path):
         # a forked worker dies after adding part of its paths' gap sums: the
@@ -753,8 +763,14 @@ _GRID = TimeGrid(T=1.0, depth=2)
             ProvenanceError,
             r"control shape \(8, 3\) does not match ensemble \(4, 3\)",
         ),
+        (lambda: ControlProcess(np.array([[np.nan, 1.0]]), 3), ValueError,
+         "control indices must be integers, not float64"),
+        (lambda: ControlProcess(np.array([[1.5, 2.0]]), 3), ValueError,
+         "control indices must be integers, not float64"),
+        (lambda: ControlProcess(np.array([[True, False]]), 3), ValueError,
+         "control indices must be integers, not bool"),
     ],
-    ids=["M=0", "paths", "steps"],
+    ids=["M=0", "paths", "steps", "nan-index", "fractional-index", "bool-index"],
 )
 def test_invalid_input_rejected(call, error, match):
     with pytest.raises(error, match=match):
