@@ -1,6 +1,7 @@
 """Run the benchmark in alternating pairs against a parent checkout and
-report, per workload, the end-to-end metrics of both sides and the result
-fields that differ from the parent's.
+report, per workload, the end-to-end metrics of both sides, each side's
+result fields seed by seed, and the result fields that differ from the
+parent's.
 
     git archive <parent-commit> | tar -x -C <parent-dir>
     python3 scripts/bench_pairs.py --parent <parent-dir> --out BENCH_<name>.json \\
@@ -81,6 +82,7 @@ def pairs(parent: Path, workload: str, seeds, seconds: float) -> dict:
                   "failed": sum(r["final"]["failed"] for r in rs)}
            for side, rs in runs.items()}
     out["results_differing_from_parent"] = _differing(seeds, runs["parent"], runs["change"])
+    out["results_per_seed"] = {side: [r["results"] for r in rs] for side, rs in runs.items()}
     for metric in METRICS:
         values = {side: [r["final"]["metrics"][metric]["value"] for r in rs]
                   for side, rs in runs.items()}

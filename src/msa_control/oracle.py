@@ -226,7 +226,8 @@ class RemainderResult:
     standard_errors: List[float]
 
     def csv(self) -> str:
-        return to_csv(("eps", "R", "censored"), self.rows)
+        return to_csv(("eps", "R", "se", "censored"),
+                      [(e, R, se, c) for (e, R, c), se in zip(self.rows, self.standard_errors)])
 
 
 def _interval_steps(tau: float, eps: float, grid: TimeGrid) -> Tuple[int, int]:
@@ -297,9 +298,9 @@ def _conditional_remainder(spec, u_index, tau, eps_list, config):
     p = v_x, q = sigma_u v_xx, P = v_xx, so the generalized-Hamiltonian
     difference at a candidate point collapses to
         S_c = (b_c - b_u) v_x + (f_c - f_u) + (sigma_c^2 - sigma_u^2) v_xx / 2
-    and S is the minimum of S_c over the domain.  One backward sweep on a
-    lattice around the states' range solves v from T down to the first step
-    of the intervals' union; on each step of the union it keeps S's row and
+    and S is the minimum of S_c over the domain.  The paths, stepped through the
+    union's last step only, place a lattice around their range; one backward sweep
+    on it solves v from T down to the union's first step; on each union step it keeps S's row and
     advances, with the minimizer's drift and squared diffusion, the delta of
     every interval holding the step.
     """
@@ -382,15 +383,17 @@ def remainder_experiment(
     the conditional estimator (future noise integrated out by a backward PDE
     solve); otherwise the direct CRN estimator.  Points with |R| below 10x
     the MC standard error of the estimator are reported as censored and
-    excluded from the fit.
+    excluded from the fit.  The conditional estimator's SE is that of the means of its
+    antithetic path pairs (2q, 2q + 1), an odd M's last path alone (Glasserman 2003, section 4.2).
     """
-    if isinstance(u, (int, np.integer)) and spec.n == 1 and spec.d == 1:
-        samples = _conditional_remainder(spec, int(u), tau, eps_list, config)
-    else:
-        samples = _direct_remainder(spec, u, tau, eps_list, config)
+    conditional = isinstance(u, (int, np.integer)) and spec.n == 1 and spec.d == 1
+    samples = (_conditional_remainder(spec, int(u), tau, eps_list, config) if conditional
+               else _direct_remainder(spec, u, tau, eps_list, config))
     rows, ses = [], []
     for eps, r in samples:
-        R, se = float(np.sum(r) / config.M), float(np.std(r) / np.sqrt(config.M))
+        R = float(np.sum(r) / config.M)
+        means = np.append(r, r[config.M & ~1 :]).reshape(-1, 2).mean(axis=1) if conditional else r
+        se = float(np.std(means) / np.sqrt(means.shape[0]))
         rows.append((float(eps), R, abs(R) < 10.0 * se))
         ses.append(se)
 

@@ -17,9 +17,9 @@ and a forked process each other one, into _shared memory.  A worker's results co
 back only there, and its exit status alone says it finished: the caller reruns the
 range of one that exited non-zero, was killed or could not be forked.  The one
 Euler loop, stream_states(spec, grid, W, u, rows), steps _STREAM_BLOCK paths per
-worker at a time on W's increments, or draws them if W is a seed.  No Euler
-operation reduces across paths and path p always draws the (seed, p) stream, so
-the bits depend neither on the CPUs nor on the block.
+worker at a time through its last kept row, on W's increments or, if W is a seed,
+on antithetic pairs: path p draws the (seed, p // 2) stream, negated for odd p.  No
+Euler operation reduces across paths, so the bits depend neither on CPUs nor block.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class BrownianEnsemble:
 
 def _fill_brownian(out: Array, first: int, seed: int, dt: float) -> Array:
     """Fill and return out, (steps, B, d), with N(0, dt) increments for paths
-    first .. first + B - 1; path p is the Philox stream keyed by (seed, p)."""
+    first .. first + B - 1 (pairs, in stream_states): p is the Philox stream (seed, p)."""
     steps, size, d = out.shape
     # Philox is counter-based: restoring a fresh state (counter 0, empty
     # buffer) with key (seed, p) gives exactly the stream of a newly built
@@ -252,12 +252,14 @@ def simulate_state(
 
 def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
                   u: ControlProcess, rows: range) -> tuple[Array, float, float]:
-    """simulate_state's X under u on W, or on generate_brownian(grid, M, spec.d, W)
-    if W is a seed, as (X[rows], X.min(), X.max()); raises SimulationError naming
-    the first path with a non-finite state and that path's first such step."""
+    """simulate_state's X under u on W, as (X[rows], min, max) over X[:rows.stop]: no
+    state past the last kept row is stepped or checked.  A seed W draws one stream per
+    pair: path p is generate_brownian's path p // 2, negated for odd p (antithetic pairs,
+    Glasserman, Monte Carlo Methods in Financial Engineering, 2003, section 4.2).  Raises
+    SimulationError naming the first path with a non-finite state and its first such step."""
     if u.num_points > spec.domain.size:  # its indices could run past spec's points
         raise ValueError("control index out of domain range")
-    steps, M = u.values.shape
+    M, stop = u.values.shape[1], max(rows.stop, 1)  # states past the last kept row are not stepped
     pts = spec.domain.points
     window = _shared((len(rows), M, spec.n), M)
     extremes = _shared((len(_path_ranges(M)), 2), M)  # each range's (min, max)
@@ -267,15 +269,19 @@ def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
 
     def step_range(k, lo, hi):
         seeded = not isinstance(W, BrownianEnsemble)
-        buf = np.empty((steps, min(_STREAM_BLOCK, hi - lo), spec.d)) if seeded else None
+        n = min(_STREAM_BLOCK, hi - lo) // 2 + 1 if seeded else 0  # the most pairs a block meets
+        buf = np.empty((stop - 1, 2 * n, spec.d))  # pair q's stream in column 2q, negated in 2q + 1
         low, high = np.inf, -np.inf
         for start in range(lo, hi, _STREAM_BLOCK):
             end = min(start + _STREAM_BLOCK, hi)
-            dw = (W.increments[:, start:end] if buf is None
-                  else _fill_brownian(buf[:, : end - start], start, W, grid.dt))
+            if seeded:  # a block that starts at an odd path draws its partner's stream too
+                drawn = buf.reshape(stop - 1, n, 2, spec.d)[:, : (end + 1) // 2 - start // 2]
+                _fill_brownian(drawn[:, :, 0], start // 2, W, grid.dt)
+                np.negative(drawn[:, :, 0], out=drawn[:, :, 1])
+            dw = buf[:, start % 2 :][:, : end - start] if seeded else W.increments[:, start:end]
             x, bad_at = state_row(0, start, end), np.full(end - start, -1)  # first non-finite steps
             x[...] = spec.x0
-            for i in range(steps + 1):
+            for i in range(stop):
                 if i:
                     u_pts = np.take(pts, u.values[i - 1, start:end], axis=0)
                     out = state_row(i, start, end)

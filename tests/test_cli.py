@@ -577,13 +577,13 @@ PINNED_OUTPUTS = {
     },
     "remainder-conditional": {
         "remainder.csv":
-            "7e36bff739785098b706e0c9179fdb7efcdf81b21ecaf68e1706bb0dd404e98f",
+            "95f493a7f75426c5ca2878bf983686d2e4afc72532deb0587f644b47af671e23",
         "remainder_summary.json":
-            "fed77cc43ba2262e9f7dcb4606c8c7f8785ddffdc9f3728c5a1f31adfb3470ea",
+            "3768aacfa0afe9bc18625cd142451aa48cf305300f45dfa5ac33914d1491fa9e",
     },
     "remainder-direct-2d": {
         "remainder.csv":
-            "b7df149c93a64eac7b36bcea9c8439deba0ebfc463b3b908b9fc38452193cf67",
+            "022444fba199983a771616f492f5b71b9a298d90b2156e1394b9d97d2ce48d4c",
         "remainder_summary.json":
             "fed77cc43ba2262e9f7dcb4606c8c7f8785ddffdc9f3728c5a1f31adfb3470ea",
     },

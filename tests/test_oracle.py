@@ -168,20 +168,49 @@ class TestRemainderExperiment:
         eps_list = [spec.T * 2.0 ** (-N) for N in range(2, 7)]
         res = remainder_experiment(spec, spec.domain.size - 1, spec.T / 2, eps_list, config)
         assert [(e, R.hex(), c) for e, R, c in res.rows] == [
-            (0.25, "-0x1.95332a89fe0c3p-11", True),
-            (0.125, "-0x1.2ecf86651958cp-12", True),
-            (0.0625, "-0x1.7fb492f9e2154p-14", True),
-            (0.03125, "0x1.82d95178cbd74p-17", True),
-            (0.015625, "0x1.9f25375ce8425p-17", True),
+            (0.25, "-0x1.89fde2bb8eb25p-11", False),
+            (0.125, "-0x1.f31652a81bc58p-14", True),
+            (0.0625, "-0x1.23930c197afaep-16", True),
+            (0.03125, "0x1.6ad016e8a89ffp-17", True),
+            (0.015625, "0x1.333e247c02f06p-17", True),
         ]
         assert [s.hex() for s in res.standard_errors] == [
-            "0x1.23c780ae601f2p-12",
-            "0x1.988ace16865d5p-14",
-            "0x1.134a3c4729f02p-15",
-            "0x1.75cae1c5f7b5fp-17",
-            "0x1.d3217aa14c1cap-19",
+            "0x1.0b590d5dfedb5p-14",
+            "0x1.c96d61915aaf6p-16",
+            "0x1.6229e3c53af5dp-17",
+            "0x1.ddac9099f4dbfp-19",
+            "0x1.32525111d488cp-20",
         ]
-        assert np.isnan(res.slope)  # every row is censored at this size
+        assert np.isnan(res.slope)  # only eps 0.25 clears the censoring line: no slope to fit
+
+    @pytest.mark.parametrize("M", [300, 301])
+    def test_conditional_se_from_pair_means(self, monkeypatch, M):
+        # the SE is std(pair means) / sqrt(pairs), over paths (2q, 2q + 1),
+        # and an odd M's last path is a pair of its own; R stays the path mean
+        from msa_control import oracle
+
+        samples, conditional = {}, oracle._conditional_remainder
+
+        def recording(*args):
+            for eps, r in conditional(*args):
+                samples[eps] = r.copy()
+                yield eps, r
+
+        monkeypatch.setattr(oracle, "_conditional_remainder", recording)
+        spec = get_problem("nonconvex-diffusion")
+        config = MSAConfig(M=M, depth=6, N_max=6, seed=3)
+        res = remainder_experiment(spec, spec.domain.size - 1, 0.5, [0.25, 0.125], config)
+        for (eps, R, _), se in zip(res.rows, res.standard_errors):
+            r = samples[eps]
+            means = [(r[i] + r[i + 1]) / 2 for i in range(0, M - 1, 2)] + list(r[M - M % 2 :])
+            assert len(means) == (M + 1) // 2
+            assert R == np.sum(r) / M and se == np.std(means) / np.sqrt(len(means))
+
+    def test_empty_eps_list_fits_nothing(self):
+        # no interval: no state row is kept, yet x0 still places the lattice
+        spec = get_problem("nonconvex-diffusion")
+        res = remainder_experiment(spec, 1, 0.5, [], MSAConfig(M=301, depth=6, seed=3))
+        assert res.rows == [] and res.standard_errors == [] and np.isnan(res.slope)
 
     def test_conditional_estimator_equal_for_any_worker_count(self, path_split):
         # 1001 paths with a floor of 300 per worker: 1, 2 or 3 workers, each
@@ -449,6 +478,16 @@ class TestNonfiniteCost:
 
         with pytest.raises(SimulationError, match=r"^non-finite candidate cost at eps 0.25$"):
             remainder_experiment(_with_phi(spec, poisoned), u, 0.5, PIN_EPS, config)
+
+    def test_nonfinite_difference_stops_conditional_estimator(self):
+        # f = -inf at the control point -1 makes the gap rate, and so the
+        # difference solution, non-finite; the base value function stays finite
+        spec = scalar_spec(sigma=lambda t, x, u: np.full_like(x, 0.3),
+                           f=lambda t, x, u: np.where(u < -0.5, -np.inf, 0.0))
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SimulationError, match=r"^non-finite difference on the remainder lattice at eps 0.25$"
+        ):
+            remainder_experiment(spec, 2, 0.5, [0.25, 0.125], self.config)
 
     def test_overflowing_lattice_stops_conditional_estimator(self):
         # Gamma = 1e308 overflows the terminal value x^2 Gamma / 2 on the

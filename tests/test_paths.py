@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from msa_control import (
+    BrownianEnsemble,
     ControlProcess,
     GapProcess,
     MSAConfig,
@@ -397,6 +398,14 @@ class TestPathSplit:
         assert deaths.read_text().count("died") == 1 + 2
 
 
+def paired_ensemble(grid, M, seed):
+    """The increments that stream_states draws from a seed, frozen: path p is
+    generate_brownian's path p // 2, negated when p is odd."""
+    increments = generate_brownian(grid, (M + 1) // 2, 1, seed).increments[:, np.arange(M) // 2]
+    increments[:, 1::2] *= -1
+    return BrownianEnsemble(increments, seed)
+
+
 class TestStreamedSimulation:
     # 301 paths in 64-path blocks: one worker takes blocks of 64 x 4 + 45;
     # two workers (0, 150) and (150, 301) take 64, 64, 22 and 64, 64, 23;
@@ -409,41 +418,78 @@ class TestStreamedSimulation:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_states_equal_frozen_ensemble(self, path_split, workers):
-        # the drift-only problem rises from x0 = 0.25, so x0 is X's minimum
+        # a seed streams the paired ensemble, stepped through the last kept
+        # row; the drift-only problem rises from x0 = 0.25, so x0 is X's minimum
         rising = scalar_spec(b=lambda t, x, u: np.ones_like(x), x0=0.25)
         grid = TimeGrid(T=1.0, depth=5)
         for spec in (get_problem("nonconvex-diffusion"), rising):
             u = ControlProcess.constant(1, self.M, grid.steps, spec.domain.size)
             W = generate_brownian(grid, self.M, 1, 3)
-            X = simulate_state(spec, grid, W, u).states
             for rows, source in itertools.product((range(5, 19), range(0, grid.steps + 1)), (3, W)):
+                frozen = W if source is W else paired_ensemble(grid, self.M, 3)
+                X = simulate_state(spec, grid, frozen, u).states
                 record = path_split(cpus=workers, per_worker=100)
                 window, low, high = stream_states(spec, grid, source, u, rows)
                 assert len(record.ranges) == (workers if workers > 1 else 0)
                 assert np.array_equal(window, X[rows.start : rows.stop])
-                assert (low, high) == (X.min(), X.max())
+                assert (low, high) == (X[: rows.stop].min(), X[: rows.stop].max())
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_nonfinite_named_as_frozen(self, path_split, workers):
-        # X = W until the drift turns NaN past a level.  Below -2.5, path 88
-        # of the second block turns first, before the last step; above 1.5,
-        # paths 41 and 57 turn before path 3, which is named with its own
-        # first step; below -2.8, only path 231 of the last range turns
+        # X = W until the drift turns NaN past a level.  On seed 3's pairs,
+        # paths 159 and 176 turn below -2.5 at step 13, before the last step;
+        # above 1.5, paths 177, 158 and 233 turn before path 6, which is named
+        # with its own first step; on seed 6's, below -2.8, only path 222 of
+        # the last range turns, at the last step
         def unit(t, x, u):
             return np.ones_like(x)
 
-        cases = [(4, lambda x: x < -2.5, 88, 13), (5, lambda x: x > 1.5, 3, 22),
-                 (4, lambda x: x < -2.8, 231, 16)]
-        for depth, past, path, step in cases:
+        cases = [(3, 4, lambda x: x < -2.5, 159, 13), (3, 5, lambda x: x > 1.5, 6, 22),
+                 (6, 4, lambda x: x < -2.8, 222, 16)]
+        for seed, depth, past, path, step in cases:
             grid = TimeGrid(T=1.0, depth=depth)
             u = ControlProcess.constant(2, self.M, grid.steps, 3)
             spec = scalar_spec(sigma=unit, b=lambda t, x, u: np.where(past(x), np.nan, 0.0))
             named = f"^non-finite state at path {path}, step {step}$"
             with pytest.raises(SimulationError, match=named):
-                simulate_state(spec, grid, generate_brownian(grid, self.M, 1, 3), u)
+                simulate_state(spec, grid, paired_ensemble(grid, self.M, seed), u)
             path_split(cpus=workers, per_worker=100)
             with pytest.raises(SimulationError, match=named):
-                stream_states(spec, grid, 3, u, range(3, 9))
+                stream_states(spec, grid, seed, u, range(3, step + 1))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_odd_paths_negate_their_partners(self, path_split, workers):
+        # X = W: 303 paths over 3 workers split at 101 and 202, so the second
+        # range and its second 64-path block start at odd paths; every odd
+        # path is its even partner negated, and no worker count moves a bit
+        M = 303
+        spec = scalar_spec(sigma=lambda t, x, u: np.ones_like(x))
+        grid = TimeGrid(T=1.0, depth=5)
+        u = ControlProcess.constant(1, M, grid.steps, 3)
+        path_split(cpus=1, per_worker=100)
+        serial = stream_states(spec, grid, 3, u, range(0, 20))
+        record = path_split(cpus=workers, per_worker=100)
+        window, low, high = stream_states(spec, grid, 3, u, range(0, 20))
+        assert len(record.ranges) == (workers if workers > 1 else 0)
+        assert np.array_equal(window, serial[0]) and (low, high) == serial[1:]
+        assert np.array_equal(window[:, 1::2], -window[:, 0:-1:2])
+        even = generate_brownian(grid, (M + 1) // 2, 1, 3).increments[:19, :, 0]
+        assert np.array_equal(window[1:, 0::2, 0], np.cumsum(even, axis=0))
+        assert low == window.min() and high == window.max()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_states_past_last_kept_row_never_stepped(self, path_split, workers):
+        # the drift is NaN from t = 8 dt on, so only state 9 onwards would be
+        # non-finite: a stream that keeps rows up to 8 steps nothing past them
+        grid = TimeGrid(T=1.0, depth=4)
+        spec = scalar_spec(sigma=lambda t, x, u: np.ones_like(x),
+                           b=lambda t, x, u: np.full_like(x, np.nan if t >= 8 * grid.dt else 0.0))
+        u = ControlProcess.constant(1, self.M, grid.steps, 3)
+        path_split(cpus=workers, per_worker=100)
+        window, low, high = stream_states(spec, grid, 3, u, range(3, 9))
+        assert np.isfinite(window).all() and np.isfinite([low, high]).all()
+        with pytest.raises(SimulationError, match=r"^non-finite state at path 0, step 9$"):
+            stream_states(spec, grid, 3, u, range(3, 10))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_frozen_states_pinned(self, path_split, workers):
