@@ -18,10 +18,7 @@ from .model import (
     LQSpec,
     ProblemSpec,
     ShapeError,
-    ValidationCheck,
-    ValidationReport,
     lq_embed,
-    validate_spec,
 )
 from .msa import (
     CSV_HEADER,
@@ -62,7 +59,6 @@ from .paths import (
     StateEnsemble,
     TimeGrid,
     array_bytes,
-    empirical_moment,
     evaluate_cost,
     generate_brownian,
     load_array,

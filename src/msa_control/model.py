@@ -16,9 +16,11 @@ and return arrays with leading batch dimension ``B``.  Shape conventions:
     f_xx, Phi_xx      -> (B, n, n)
 
 Every member of a ``CoefficientSet`` must be callable; it refuses one that is
-not (a missing derivative, say) when built.  Functions must be pure: repeated
-evaluation at identical arguments yields bit-identical results, and
-concurrent evaluation is safe.
+not (a missing derivative, say) when built.  The package does not check the
+derivatives against the functions they differentiate; ``tests/test_model.py``
+checks those of every shipped problem by central differences.  Functions must
+be pure: repeated evaluation at identical arguments yields bit-identical
+results, and concurrent evaluation is safe.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ class ControlDomain:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        if pts.ndim != 2:
+            raise ValueError(f"control domain points must form a 1-D or 2-D array, "
+                             f"not one of shape {pts.shape}")
         if pts.size == 0:
             raise ValueError("control domain must contain at least one point")
         if not np.isfinite(pts).all():
@@ -139,145 +144,6 @@ class LQSpec:
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
         object.__setattr__(self, "Gamma", np.asarray(self.Gamma, dtype=float))
-
-
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    worst_residual: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self) -> str:
-        lines = [
-            f"{'PASS' if c.passed else 'FAIL'}  {c.name}  worst={c.worst_residual:.3e}"
-            for c in self.checks
-        ]
-        return "\n".join(lines)
-
-
-_FD_RTOL = 1e-4
-_SYM_TOL = 1e-10
-
-
-def _fd_step(x: Array) -> float:
-    return 1e-5 * (1.0 + float(np.linalg.norm(x)))
-
-
-def _check_shapes(spec: ProblemSpec, t: float, x: Array, u: Array) -> None:
-    n, d = spec.n, spec.d
-    c = spec.coefficients
-    expected = {
-        "b": (c.b(t, x, u), (1, n)),
-        "sigma": (c.sigma(t, x, u), (1, n, d)),
-        "f": (c.f(t, x, u), (1,)),
-        "Phi": (c.Phi(x), (1,)),
-        "b_x": (c.b_x(t, x, u), (1, n, n)),
-        "sigma_x": (c.sigma_x(t, x, u), (1, n, n, d)),
-        "f_x": (c.f_x(t, x, u), (1, n)),
-        "Phi_x": (c.Phi_x(x), (1, n)),
-        "b_xx": (c.b_xx(t, x, u), (1, n, n, n)),
-        "sigma_xx": (c.sigma_xx(t, x, u), (1, n, n, n, d)),
-        "f_xx": (c.f_xx(t, x, u), (1, n, n)),
-        "Phi_xx": (c.Phi_xx(x), (1, n, n)),
-    }
-    for name, (val, shape) in expected.items():
-        got = np.asarray(val).shape
-        if got != shape:
-            raise ShapeError(f"{name} returned shape {got}, expected {shape}")
-
-
-def _fd_residual(fn, dfn, t, x, u, n, axis, uses_t=True):
-    """Worst relative mismatch between dfn and central differences of fn.
-
-    ``axis`` is the axis of dfn's output holding the differentiation index.
-    """
-    h = _fd_step(x)
-
-    def call(xx):
-        return np.asarray(fn(t, xx, u) if uses_t else fn(xx))
-
-    base = np.asarray(dfn(t, x, u) if uses_t else dfn(x))
-    worst = 0.0
-    for j in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[0, j] += h
-        xm[0, j] -= h
-        fd = (call(xp) - call(xm)) / (2.0 * h)
-        analytic = np.take(base, j, axis=axis)
-        denom = 1.0 + np.abs(analytic)
-        worst = max(worst, float(np.max(np.abs(fd - analytic) / denom)))
-    return worst
-
-
-def validate_spec(spec: ProblemSpec, samples: int = 16, seed: int = 0) -> ValidationReport:
-    """Spot-check shapes, derivatives, symmetry and Lipschitz ratios.
-
-    Shape mismatches raise :class:`ShapeError`; everything else is reported.
-    Deterministic given ``seed``.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    c = spec.coefficients
-    n = spec.n
-
-    ts = rng.uniform(0.0, spec.T, size=samples)
-    xs = spec.x0[None, :] + rng.normal(scale=1.5, size=(samples, 1, n))
-    us = spec.domain.points[rng.integers(0, spec.domain.size, size=samples)][:, None, :]
-
-    _check_shapes(spec, float(ts[0]), xs[0], us[0])
-    checks = [ValidationCheck("shapes", True, 0.0)]
-
-    fd_pairs = [
-        ("b_x vs fd(b)", c.b, c.b_x, True, 2),
-        ("sigma_x vs fd(sigma)", c.sigma, c.sigma_x, True, 2),
-        ("f_x vs fd(f)", c.f, c.f_x, True, 1),
-        ("Phi_x vs fd(Phi)", c.Phi, c.Phi_x, False, 1),
-        ("b_xx vs fd(b_x)", c.b_x, c.b_xx, True, 3),
-        ("sigma_xx vs fd(sigma_x)", c.sigma_x, c.sigma_xx, True, 3),
-        ("f_xx vs fd(f_x)", c.f_x, c.f_xx, True, 2),
-        ("Phi_xx vs fd(Phi_x)", c.Phi_x, c.Phi_xx, False, 2),
-    ]
-    for name, fn, dfn, uses_t, axis in fd_pairs:
-        worst = 0.0
-        for s in range(samples):
-            t, x, u = float(ts[s]), xs[s], us[s]
-            worst = max(worst, _fd_residual(fn, dfn, t, x, u, n, axis, uses_t))
-        checks.append(ValidationCheck(name, worst <= _FD_RTOL, worst))
-
-    sym_worst = 0.0
-    for s in range(samples):
-        t, x, u = float(ts[s]), xs[s], us[s]
-        for mat in (np.asarray(c.f_xx(t, x, u)), np.asarray(c.Phi_xx(x))):
-            scale = 1.0 + np.abs(mat).max()
-            sym_worst = max(sym_worst, float(np.abs(mat - mat.transpose(0, 2, 1)).max() / scale))
-    checks.append(ValidationCheck("f_xx/Phi_xx symmetry", sym_worst <= _SYM_TOL, sym_worst))
-
-    # Sampled Lipschitz ratios of the second derivatives (advisory).
-    lip_worst = 0.0
-    for s in range(samples - 1):
-        t, u = float(ts[s]), us[s]
-        x1, x2 = xs[s], xs[s + 1]
-        dx = float(np.linalg.norm(x1 - x2))
-        if dx < 1e-12:
-            continue
-        for fn, uses_t in ((c.b_xx, True), (c.sigma_xx, True), (c.f_xx, True), (c.Phi_xx, False)):
-            v1 = np.asarray(fn(t, x1, u) if uses_t else fn(x1))
-            v2 = np.asarray(fn(t, x2, u) if uses_t else fn(x2))
-            lip_worst = max(lip_worst, float(np.linalg.norm((v1 - v2).ravel()) / dx))
-    checks.append(ValidationCheck("second-derivative Lipschitz ratio (advisory)", True, lip_worst))
-
-    return ValidationReport(checks)
 
 
 def lq_embed(lq: LQSpec) -> ProblemSpec:

@@ -132,6 +132,9 @@ class MSAConfig:
             raise ValueError("m_max must be >= 0 and M >= 1")
         if not (self.mu_tol >= 0 and self.degree >= 0 and self.ridge >= 0):
             raise ValueError("mu_tol, degree and ridge must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            # the Philox key and the binary header take the seed as a u64
+            raise ValueError(f"seed {self.seed} outside 0..2**64-1")
         if self.ridge == 0 and self.degree >= 1:
             # every path starts at x0, so the step-0 design matrix has rank 1
             raise ValueError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")

@@ -329,14 +329,6 @@ def evaluate_cost(
     return float(np.sum(pc) / pc.shape[0])
 
 
-def empirical_moment(X: StateEnsemble, order: int) -> float:
-    """Mean over paths of sup_i |X_i|^order; sanity stat for moment bounds."""
-    if order not in (2, 4, 8):
-        raise ValueError("order must be one of 2, 4, 8")
-    sup = np.linalg.norm(X.states, axis=2).max(axis=0)  # (M,)
-    return float(np.sum(sup**order) / sup.shape[0])
-
-
 _HEADER = struct.Struct("<QQQQ")
 
 

@@ -111,12 +111,14 @@ class TestSolve:
             {"m_max": True}, {"Mmax": 3},
             # its zero sigma0 and sigma_u defaults alone would need 8 PB
             {"problem": {**INLINE_LQ, "d": 10**15}},
+            {"problem": {**INLINE_LQ, "domain": [[[0.0]], [[1.0]]]}},
+            {"problem": {**INLINE_LQ, "domain": 1.0}},
         ],
         ids=[
             "M-not-above-features", "u0-unknown", "u0-index-99", "u0-index-minus-1",
             "ridge-zero-with-degree", "top-level-list", "G-40", "G-1e9", "mu_tol-nan",
             "ridge-overflow", "M-non-integral", "M-string", "m_max-bool", "unknown-key",
-            "inline-lq-d-1e15",
+            "inline-lq-d-1e15", "inline-domain-3d", "inline-domain-scalar",
         ],
     )
     def test_invalid_run_input(self, tmp_path, capsys, overrides):
@@ -295,11 +297,16 @@ class TestValidate:
             ("remainder", {"M": 4, "G": 24}, "error: M=4, G=24: paths need about 2^40.8"),
             ("remainder", {"M": 200, "G": 0},
              "error: bad run configuration: grid depth must be at least 1"),
+            ("remainder", {"M": 200, "seed": -1},
+             "error: bad run configuration: seed -1 outside 0..2**64-1"),
+            ("remainder", {"M": 200, "seed": 2**64},
+             "error: bad run configuration: seed 18446744073709551616 outside 0..2**64-1"),
         ],
         ids=[
             "remainder-u0-index", "remainder-coarse-grid", "variational-coarse-grid",
             "variational-M-not-above-features", "remainder-u0-index-bool", "sequence-m_max-0",
             "sequence-m_max-string", "remainder-lattice-footprint", "remainder-G-0",
+            "seed--1", "seed-2**64",
         ],
     )
     def test_bad_config_exits_config(self, tmp_path, capsys, experiment, cfg, cause):

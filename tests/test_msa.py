@@ -423,6 +423,13 @@ class TestMSAConfig:
         with pytest.raises(ValueError, match="^grid depth must be at least 1$"):
             MSAConfig(depth=depth)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, float("nan")], ids=["-1", "2**64", "nan"])
+    def test_seed_outside_u64_rejected(self, seed):
+        # the Philox key and the binary header would reduce it mod 2^64
+        assert MSAConfig(seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ValueError, match=r"^seed .* outside 0\.\.2\*\*64-1$"):
+            MSAConfig(seed=seed)
+
     def test_ridge_zero_needs_degree_zero(self):
         assert MSAConfig(ridge=0.0, degree=0).ridge == 0.0
         with pytest.raises(ValueError, match=r"^ridge = 0 needs degree = 0: the step-0 regression"):

@@ -24,16 +24,16 @@ def test_public_names():
         "ControlDomain", "ControlProcess", "GapProcess", "IterationRecord", "LQOracle", "LQSpec",
         "MSAConfig", "MSARun", "ProblemSpec", "ProvenanceError", "RateResult", "RegressionBasis",
         "RegressionRankError", "RemainderResult", "SequenceResult", "ShapeError",
-        "SimulationError", "SolverState", "StateEnsemble", "TimeGrid", "ValidationCheck",
-        "ValidationReport", "VariationalResult", "adjoint_sweep", "array_bytes", "build_oracle",
-        "check_descent_log", "dyadic_interval", "empirical_moment", "evaluate_cost",
+        "SimulationError", "SolverState", "StateEnsemble", "TimeGrid", "VariationalResult",
+        "adjoint_sweep", "array_bytes", "build_oracle", "check_descent_log", "dyadic_interval",
+        "evaluate_cost",
         "find_descent_interval", "gap_process", "generate_brownian", "get_lq", "get_problem",
         "h_function", "hamiltonian", "hessian_of_H", "load_array", "lq_closed_form_adjoint",
         "lq_embed", "lq_names", "lyapunov_solve", "minimize_h", "msa_step", "mu",
         "pathwise_cost", "prepare_state", "problem_names", "rate_experiment",
         "records_from_csv", "records_to_csv", "remainder_experiment", "run_msa",
         "sequence_lemma_check", "simulate_state", "solve_first_adjoint", "solve_second_adjoint",
-        "spike_control", "validate_spec", "variational_experiment", "variational_simulate",
+        "spike_control", "variational_experiment", "variational_simulate",
     ]
 
 
