@@ -17,11 +17,11 @@ from msa_control import (
 from conftest import coupled_lq2d, scalar_spec
 
 
-def assert_derivatives(spec, samples, seed):
+def assert_derivatives(spec, samples, seed, rtol=1e-4):
     """At `samples` random (t, x, u), assert that each coefficient returns its
     documented shape, that each x-derivative matches central differences of
-    the member it differentiates (within 1e-4 relative to 1 + |analytic|), and
-    that f_xx and Phi_xx are symmetric.  A failure names the member."""
+    the member it differentiates (within `rtol` relative to 1 + |analytic|),
+    and that f_xx and Phi_xx are symmetric.  A failure names the member."""
     c, n, d = spec.coefficients, spec.n, spec.d
     shapes = {
         "b": (1, n), "sigma": (1, n, d), "f": (1,), "Phi": (1,),
@@ -55,7 +55,7 @@ def assert_derivatives(spec, samples, seed):
                 fd = (call(member, x + step) - call(member, x - step)) / (2.0 * h)
                 exact = np.take(analytic, j, axis=axis)
                 worst = np.max(np.abs(fd - exact) / (1.0 + np.abs(exact)))
-                assert worst <= 1e-4, (f"{name} differs from central differences of {member} "
+                assert worst <= rtol, (f"{name} differs from central differences of {member} "
                                        f"by {worst:.3e} at t={t}, x={x[0]}, u={u[0]}")
         for name in ("f_xx", "Phi_xx"):
             mat = call(name, x)
@@ -90,6 +90,32 @@ class TestControlDomain:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ControlDomain(np.empty((0, 1)))
+
+
+class TestValidateSpec:
+    """assert_derivatives on the hand-checkable specs, at the tolerances their
+    derivatives are exact to: zero coefficients give no residual at all, and
+    an embedded LQ is quadratic, so central differences miss only by rounding."""
+
+    def test_zero_coefficients_all_pass(self, zero_spec):
+        assert_derivatives(zero_spec, samples=8, seed=3, rtol=0.0)
+
+    def test_lq_quadratic_derivatives(self):
+        assert_derivatives(lq_embed(unit_lq()), samples=12, seed=0)
+
+    def test_embedded_lq_near_zero_residual(self):
+        assert_derivatives(lq_embed(unit_lq()), samples=12, seed=1, rtol=1e-8)
+
+    def test_wrong_sigma_shape_named(self):
+        spec = scalar_spec()
+        bad_coeffs = dataclasses.replace(
+            spec.coefficients, sigma=lambda t, x, u: np.zeros((x.shape[0], 1, 2))
+        )
+        bad = ProblemSpec(
+            n=1, d=1, k=1, T=1.0, x0=[0.0], coefficients=bad_coeffs, domain=spec.domain
+        )
+        with pytest.raises(AssertionError, match=r"^sigma returned shape \(1, 1, 2\), expected"):
+            assert_derivatives(bad, samples=2, seed=0)
 
 
 class TestLQEmbed:
@@ -143,8 +169,6 @@ class TestLQEmbed:
 SPECS = {
     **{name: functools.partial(get_problem, name) for name in problem_names()},
     "coupled-lq2d": lambda: lq_embed(coupled_lq2d()),
-    "unit-lq": lambda: lq_embed(unit_lq()),
-    "zero": scalar_spec,
 }
 
 
@@ -160,17 +184,6 @@ class TestDerivatives:
         off = dataclasses.replace(spec.coefficients, b_x=lambda t, x, u: 1.01 * b_x(t, x, u))
         with pytest.raises(AssertionError, match="^b_x differs from central differences of b "):
             assert_derivatives(dataclasses.replace(spec, coefficients=off), samples=8, seed=0)
-
-    def test_wrong_sigma_shape_named(self):
-        spec = scalar_spec()
-        bad_coeffs = dataclasses.replace(
-            spec.coefficients, sigma=lambda t, x, u: np.zeros((x.shape[0], 1, 2))
-        )
-        bad = ProblemSpec(
-            n=1, d=1, k=1, T=1.0, x0=[0.0], coefficients=bad_coeffs, domain=spec.domain
-        )
-        with pytest.raises(AssertionError, match=r"^sigma returned shape \(1, 1, 2\), expected"):
-            assert_derivatives(bad, samples=2, seed=0)
 
 
 @pytest.mark.parametrize(
