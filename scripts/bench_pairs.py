@@ -3,6 +3,13 @@ report, per workload, the end-to-end metrics of both sides, each side's
 result fields seed by seed, and the result fields that differ from the
 parent's.
 
+Each metric also states the acceptance rule.  ``gain_shown``: the change
+wins at least 9 of 10 pairs, and its median beats the parent's by more than
+the parent's interquartile range (``parent_iqr``; ``median_diff`` is the
+change's median minus the parent's).  ``within_bound``: the change's median
+is no worse than the parent's by more than the metric's ``bound`` in
+BENCHMARK.json.
+
     git archive <parent-commit> | tar -x -C <parent-dir>
     python3 scripts/bench_pairs.py --parent <parent-dir> --out BENCH_<name>.json \\
         --workloads lq-scalar-solve nonconvex-solve nonconvex-remainder --seeds 1-10
@@ -26,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "run_s", "iter_s", "peak_rss_mb")
+WIN_SHARE = 0.9  # of the pairs that a claimed gain must win
 
 
 def _bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -70,7 +78,19 @@ def _differing(seeds, parent_runs, change_runs) -> dict:
     return out
 
 
-def pairs(parent: Path, workload: str, seeds, seconds: float) -> dict:
+def _verdict(parent, change, metric: dict) -> dict:
+    """The acceptance rule for one metric's per-pair values, on its BENCHMARK.json entry."""
+    sign = 1 if metric["better"] == "lower" else -1  # > 0: the change is better
+    q1, med, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    change_med = statistics.median(change)
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    return {"change_wins": wins, "parent_iqr": round(q3 - q1, 4),
+            "median_diff": round(change_med - med, 4),
+            "gain_shown": wins >= WIN_SHARE * len(parent) and sign * (med - change_med) > q3 - q1,
+            "within_bound": sign * (change_med - med) <= metric["bound"] * abs(med)}
+
+
+def pairs(parent: Path, workload: str, seeds, seconds: float, metrics: dict) -> dict:
     runs = {"parent": [], "change": []}
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -87,8 +107,7 @@ def pairs(parent: Path, workload: str, seeds, seconds: float) -> dict:
         values = {side: [r["final"]["metrics"][metric]["value"] for r in rs]
                   for side, rs in runs.items()}
         out[metric] = {side: _quartiles(v) for side, v in values.items()}
-        out[metric]["change_wins"] = sum(c < p for p, c in zip(values["parent"],
-                                                                values["change"]))
+        out[metric].update(_verdict(values["parent"], values["change"], metrics[metric]))
     return out
 
 
@@ -132,7 +151,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, metrics = bench["run_seconds"], {m["name"]: m for m in bench["end_to_end"]}
     report = {
         "command": "python3 perfbench/run.py --workload <name> --seed <seed> "
                    f"--seconds {seconds:g} --trace 0",
@@ -141,7 +161,8 @@ def main(argv=None) -> int:
     }
     for workload in args.workloads:
         report["workloads"][workload] = {"seeds": args.seeds,
-                                         **pairs(args.parent, workload, args.seeds, seconds)}
+                                         **pairs(args.parent, workload, args.seeds, seconds,
+                                                 metrics)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -8,14 +8,17 @@ grid with smallest-index tie-breaking (a deterministic measurable selection).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ProblemSpec
-from .paths import ControlProcess, SimulationError, StateEnsemble, TimeGrid, _check_provenance
+from .paths import (ControlProcess, SimulationError, StateEnsemble, TimeGrid, _check_provenance,
+                    _cpus, _forked, _shared)
 
 Array = np.ndarray
+_RING = 4  # adjoint slices in flight from _overlapped_gaps' child to the caller
 
 
 @dataclass(frozen=True)
@@ -125,13 +128,56 @@ def gap_process(
     the stage, the step and the first bad path.
     """
     _check_provenance(X, u)
-    values = np.empty(u.values.shape)
-    argmins = np.empty(u.values.shape, dtype=ControlProcess.index_dtype(spec.domain.size))
+    gaps = GapProcess(np.empty(u.values.shape),
+                      np.empty(u.values.shape, ControlProcess.index_dtype(spec.domain.size)))
     for i, p, q, P, _ in adjoints:
-        _check_finite("adjoint", i, p, q, P)
-        argmins[i], values[i] = minimize_h(spec, i * grid.dt, X.states[i], p, q, P, u.values[i])
-        _check_finite("gap", i, values[i])
-    return GapProcess(values=values, argmin_indices=argmins)
+        _gap_step(spec, grid, X, u, gaps, i, p, q, P)
+    return gaps
+
+
+def _gap_step(spec, grid, X, u, gaps: GapProcess, i: int, p: Array, q: Array, P: Array) -> None:
+    """Step i of gap_process: minimize H on the adjoint slice into row i of gaps, checking both."""
+    _check_finite("adjoint", i, p, q, P)
+    gaps.argmin_indices[i], gaps.values[i] = minimize_h(
+        spec, i * grid.dt, X.states[i], p, q, P, u.values[i])
+    _check_finite("gap", i, gaps.values[i])
+
+
+def _overlapped_gaps(spec, grid, X, u, adjoints) -> GapProcess | None:
+    """gap_process on adjoint_sweep's adjoints, which a forked child passes through _RING shared
+    slots, or minimizes itself while the caller holds every slot.  None on one CPU or a failure."""
+    if _cpus() < 2:
+        return None
+    steps, M = u.values.shape
+    gaps = GapProcess(_shared((steps, M), None),
+                      _shared((steps, M), None, ControlProcess.index_dtype(spec.domain.size)))
+    ring = [_shared((_RING, M, spec.n) + tail, None) for tail in ((), (spec.d,), (spec.n,))]
+    ready_r, ready_w = os.pipe()  # per step, its slot, or _RING if the child minimized it
+    freed_r, freed_w = os.pipe()  # the slots that the caller is done with
+
+    def sweep():
+        os.close(ready_r)  # so that a caller that stops reading ends this child (EPIPE)
+        os.set_blocking(freed_r, False)
+        freed, free = open(freed_r, "rb", buffering=0), list(range(_RING))
+        for i, p, q, P, _ in adjoints:
+            free += freed.read(_RING) or b""  # None while no slot is freed: never wait
+            slot = free.pop() if free else _RING
+            if slot < _RING:
+                ring[0][slot], ring[1][slot], ring[2][slot] = p, q, P
+            else:
+                _gap_step(spec, grid, X, u, gaps, i, p, q, P)
+            os.write(ready_w, bytes([slot]))
+
+    def minimize():  # closing ready on the way out ends a child still sweeping (EPIPE)
+        os.close(ready_w)  # so that a child that died reads as the end of the pipe
+        with open(ready_r, "rb", 0) as ready, open(freed_w, "wb", 0) as freed, open(freed_r):
+            for i in range(steps - 1, -1, -1):
+                (slot,) = ready.read(1)  # a ValueError at the end of the pipe
+                if slot < _RING:
+                    _gap_step(spec, grid, X, u, gaps, i, *(r[slot] for r in ring))
+                    freed.write(bytes([slot]))
+
+    return None if any(_forked([sweep], minimize)) else gaps  # the caller's error, a failed child
 
 
 def mu(gaps: GapProcess, grid: TimeGrid) -> float:

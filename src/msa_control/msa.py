@@ -15,6 +15,9 @@ A dyadic interval E_j^N is handled as its half-open range of grid steps,
 
 The order experiments in ``oracle`` (bar the conditional remainder) share the solver's
 ``_start`` (the ensemble from a config, the simulated start control) and ``prepare_state``.
+On 2+ CPUs, prepare_state's sweep runs in a forked child that hands each step's
+adjoints to the caller's H-minimization (``hamiltonian._overlapped_gaps``); on one
+CPU, or if that child fails, the serial ``gap_process`` gives the same bits or error.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .adjoint import RegressionBasis, adjoint_sweep
-from .hamiltonian import GapProcess, gap_process, mu
+from .hamiltonian import GapProcess, _overlapped_gaps, gap_process, mu
 from .model import ProblemSpec
 from .paths import (
     BrownianEnsemble,
@@ -34,6 +37,7 @@ from .paths import (
     SimulationError,
     StateEnsemble,
     TimeGrid,
+    _check_seed,
     _euler_step,
     evaluate_cost,
     generate_brownian,
@@ -132,9 +136,7 @@ class MSAConfig:
             raise ValueError("m_max must be >= 0 and M >= 1")
         if not (self.mu_tol >= 0 and self.degree >= 0 and self.ridge >= 0):
             raise ValueError("mu_tol, degree and ridge must be nonnegative")
-        if not 0 <= self.seed < 2**64:
-            # the Philox key and the binary header take the seed as a u64
-            raise ValueError(f"seed {self.seed} outside 0..2**64-1")
+        _check_seed(self.seed)
         if self.ridge == 0 and self.degree >= 1:
             # every path starts at x0, so the step-0 design matrix has rank 1
             raise ValueError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")
@@ -172,7 +174,8 @@ def prepare_state(
     and costed (J) on the frozen ensemble, in one backward adjoint sweep;
     a non-finite J (checked first) or mu raises SimulationError."""
     _require_finite("cost", J, m)
-    gaps = gap_process(spec, grid, X, u, adjoint_sweep(spec, grid, X, u, basis, W))
+    adjoints = adjoint_sweep(spec, grid, X, u, basis, W)  # a forked child drains its own copy
+    gaps = _overlapped_gaps(spec, grid, X, u, adjoints) or gap_process(spec, grid, X, u, adjoints)
     state = SolverState(m=m, u=u, gaps=gaps, J=J, mu=mu(gaps, grid))
     _require_finite("mu", state.mu, m)
     return state

@@ -11,11 +11,13 @@ adjoints and gaps) is time-major, (steps, M, .), so the per-step slice
 ``array_bytes``/``load_array`` is path-major.  Control indices (ControlProcess, GapProcess's
 argmins) take ``ControlProcess.index_dtype(V)``, the smallest unsigned type holding V - 1.
 
-Euler simulation and the remainder's per-path sums give each usable CPU a
-contiguous path range once M >= 2 * _PATHS_PER_WORKER: the caller steps the last
-and a forked process each other one, into _shared memory.  A worker's results come
-back only there, and its exit status alone says it finished: the caller reruns the
-range of one that exited non-zero, was killed or could not be forked.  The one
+Every forked process of the package runs through one helper, _forked(works, own):
+each work in a forked child, which exits 0 only once its work returned, and own in
+the caller, which reaps every child and learns which works it must redo (a refused
+fork, a child that raised or was killed).  Euler simulation and the remainder's
+per-path sums give each usable CPU (_cpus) a contiguous path range once M >=
+2 * _PATHS_PER_WORKER: the caller steps the last and a forked process each other
+one, into _shared memory, the only way a worker's results come back.  The one
 Euler loop, stream_states(spec, grid, W, u, rows), steps _STREAM_BLOCK paths per
 worker at a time through its last kept row, on W's increments or, if W is a seed,
 on antithetic pairs: path p draws the (seed, p // 2) stream, negated for odd p.  No
@@ -118,10 +120,17 @@ def _fill_brownian(out: Array, first: int, seed: int, dt: float) -> Array:
     return out
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that the Philox key and the binary header would reduce mod 2^64."""
+    if not 0 <= seed < 2**64:  # written as "not ok" so that a NaN fails it
+        raise ValueError(f"seed {seed} outside 0..2**64-1")
+
+
 def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnsemble:
     """Draw M independent paths of Brownian increments on the grid."""
     if M < 1:
         raise ValueError("M must be >= 1")
+    _check_seed(seed)
     out = _fill_brownian(np.empty((grid.steps, M, d)), 0, seed, grid.dt)
     return BrownianEnsemble(increments=out, seed=seed)
 
@@ -172,55 +181,63 @@ class StateEnsemble:
     control_values: Array
 
 
+def _cpus() -> int:  # the usable CPUs, or 1 where os.fork is missing
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1 if hasattr(os, "fork") else 1
+
+
 def _path_ranges(M: int) -> list:
     """Contiguous (lo, hi) ranges splitting paths [0, M): one per usable CPU, each
-    of at least _PATHS_PER_WORKER paths, and one where os.fork is missing."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(cpus or 1, M // _PATHS_PER_WORKER)) if hasattr(os, "fork") else 1
+    of at least _PATHS_PER_WORKER paths."""
+    workers = max(1, min(_cpus(), M // _PATHS_PER_WORKER))
     return [(M * w // workers, M * (w + 1) // workers) for w in range(workers)]
 
 
-def _shared(shape, M: int) -> Array:
-    """Uninitialised float64s that the forked workers of a split of M paths can write into."""
-    if len(_path_ranges(M)) == 1:  # no worker: a fresh mapping would fault in every page
-        return np.empty(shape)
+def _shared(shape, M: int | None, dtype=np.float64) -> Array:
+    """Uninitialised items that a split of M paths' forked workers, or any if M is None, fill."""
+    if M is not None and len(_path_ranges(M)) == 1:  # no worker: a mapping faults in every page
+        return np.empty(shape, dtype)
     import mmap  # here, not at the top: it adds about 1 ms to every import of the package
+    size = np.dtype(dtype).itemsize * math.prod(shape)
     try:
-        return np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * math.prod(shape), 1)))
+        return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, max(size, 1)))
     except OSError:  # an anonymous mapping fails only for want of memory: say so as np.empty does
-        raise MemoryError(f"Unable to allocate {8 * math.prod(shape) / 2**30:.3g} GiB of shared "
-                          f"memory for an array with shape {shape} and data type float64") from None
+        raise MemoryError(f"Unable to allocate {size / 2**30:.3g} GiB of shared memory for an "
+                          f"array with shape {shape} and data type {np.dtype(dtype)}") from None
 
 
-def _split_paths(M: int, fn) -> None:
-    """fn(k, lo, hi) for each range k, (lo, hi), of _path_ranges(M): the caller runs
-    the last range and a forked worker each other one, so fn must write only into
-    _shared arrays.  A range whose worker exited non-zero (fn raised, or it was killed)
-    or could not be forked runs again in the caller, in range order and before the
-    caller's own exception: fn is deterministic, so the first in range order is raised."""
-    ranges = _path_ranges(M)
-    pids, own = [], None
+def _forked(works, own):
+    """Run each of works in a forked child, which exits 0 only once it returned, and own in the
+    caller; reap every child.  Returns own's error or None, and the works whose child failed."""
+    pids, error = [], None
     try:
-        for k, (lo, hi) in enumerate(ranges[:-1]):
+        for work in works:
             try:
                 pids.append(os.fork())
-            except OSError:  # no process to spare: the caller reruns the range
+            except OSError:  # no process to spare: a failed child, whose work the caller redoes
                 pids.append(None)
-            if pids[-1] == 0:  # the worker
+            if pids[-1] == 0:  # the child
                 try:
-                    fn(k, lo, hi)
+                    work()
                     os._exit(0)
                 finally:
                     os._exit(1)
         try:
-            fn(len(ranges) - 1, *ranges[-1])
+            own()
         except Exception as exc:
-            own = exc
+            error = exc
     finally:
-        statuses = [pid and os.waitpid(pid, 0)[1] for pid in pids]
-    for k, ((lo, hi), status) in enumerate(zip(ranges, statuses)):
-        if status != 0:  # None where the fork failed
-            fn(k, lo, hi)
+        statuses = [pid and os.waitpid(pid, 0)[1] for pid in pids]  # non-zero: raised or killed
+    return error, [work for work, status in zip(works, statuses) if status != 0]
+
+
+def _split_paths(M: int, fn) -> None:
+    """fn(k, lo, hi) per range k, (lo, hi), of _path_ranges(M): the last in the caller, each other
+    in a _forked worker, so into _shared arrays only.  Raises the first error in range order."""
+    works = [lambda k=k, r=r: fn(k, *r) for k, r in enumerate(_path_ranges(M))]
+    own, failed = _forked(works[:-1], works[-1])
+    for work in failed:
+        work()
     if own is not None:
         raise own
 
@@ -259,6 +276,9 @@ def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
     SimulationError naming the first path with a non-finite state and its first such step."""
     if u.num_points > spec.domain.size:  # its indices could run past spec's points
         raise ValueError("control index out of domain range")
+    seeded = not isinstance(W, BrownianEnsemble)
+    if seeded:
+        _check_seed(W)  # here, before any worker is forked
     M, stop = u.values.shape[1], max(rows.stop, 1)  # states past the last kept row are not stepped
     pts = spec.domain.points
     window = _shared((len(rows), M, spec.n), M)
@@ -268,7 +288,6 @@ def stream_states(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble | int,
         return window[i - rows.start, start:end] if i in rows else np.empty((end - start, spec.n))
 
     def step_range(k, lo, hi):
-        seeded = not isinstance(W, BrownianEnsemble)
         n = min(_STREAM_BLOCK, hi - lo) // 2 + 1 if seeded else 0  # the most pairs a block meets
         buf = np.empty((stop - 1, 2 * n, spec.d))  # pair q's stream in column 2q, negated in 2q + 1
         low, high = np.inf, -np.inf

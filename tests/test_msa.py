@@ -1,5 +1,12 @@
+import dataclasses
+import errno
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +16,7 @@ from msa_control import (
     ControlProcess,
     GapProcess,
     MSAConfig,
+    RegressionBasis,
     SimulationError,
     TimeGrid,
     build_oracle,
@@ -32,6 +40,7 @@ from msa_control import (
     spike_control,
 )
 
+from msa_control import adjoint_sweep, gap_process
 from msa_control import msa as msa_module
 from msa_control.adjoint import _collect
 from msa_control.msa import IterationRecord, SolverState, _initial_control
@@ -401,6 +410,225 @@ class TestRunMsa:
         run = run_msa(spec, MSAConfig(M=1000, depth=5, N_max=5), "worst-constant")
         Js = [r.J for r in run.records]
         assert all(b <= a for a, b in zip(Js, Js[1:]))
+
+
+class TestOverlappedSweep:
+    """prepare_state on 2+ CPUs: the sweep in a forked child, the H-minimization
+    in the caller and, while the caller holds every ring slot, in the child."""
+
+    @pytest.fixture(autouse=True)
+    def serial_runs(self, monkeypatch):
+        # the gap_process calls of prepare_state: the serial path's, or the fallback's
+        calls = []
+
+        def recording(*args):
+            calls.append(None)
+            return gap_process(*args)
+
+        monkeypatch.setattr(msa_module, "gap_process", recording)
+        self.serial_calls = calls
+
+    @staticmethod
+    def inputs(spec, M=300, depth=4, index=0):
+        grid = TimeGrid(T=spec.T, depth=depth)
+        W = generate_brownian(grid, M, spec.d, 3)
+        u = ControlProcess.constant(index, M, grid.steps, spec.domain.size)
+        X = simulate_state(spec, grid, W, u)
+        return grid, W, u, X, evaluate_cost(spec, grid, X, u)
+
+    @staticmethod
+    def gap_bytes(gaps):
+        return [(a.dtype, a.shape, a.tobytes()) for a in (gaps.values, gaps.argmin_indices)]
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def prepare(self, spec, inputs, basis=RegressionBasis()):
+        grid, W, u, X, J = inputs
+        return prepare_state(spec, grid, W, u, X, J, basis)
+
+    def serial(self, path_split, spec, inputs):
+        path_split(cpus=1, per_worker=1 << 20)
+        gaps = self.prepare(spec, inputs).gaps
+        path_split(cpus=2, per_worker=1 << 20)
+        del self.serial_calls[:]
+        return self.gap_bytes(gaps)
+
+    @pytest.mark.parametrize("die", [lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                     lambda: os._exit(1)], ids=["sigkill", "exit-1"])
+    def test_dead_child_serial_gaps(self, path_split, tmp_path, die):
+        # the child ends itself halfway through the sweep (SIGKILL runs no
+        # finally, as the out-of-memory killer): the caller runs the serial
+        # gap_process and leaves no child behind
+        spec = get_problem("nonconvex-diffusion")
+        inputs = self.inputs(spec)
+        serial = self.serial(path_split, spec, inputs)
+        caller, deaths, b_x = os.getpid(), tmp_path / "deaths", spec.coefficients.b_x
+
+        def dying(t, x, u):
+            if os.getpid() != caller and t <= 0.5:
+                with open(deaths, "a") as fh:
+                    fh.write("died\n")
+                die()
+            return b_x(t, x, u)
+
+        mortal = dataclasses.replace(
+            spec, coefficients=dataclasses.replace(spec.coefficients, b_x=dying))
+        assert self.gap_bytes(self.prepare(mortal, inputs).gaps) == serial
+        assert deaths.read_text() == "died\n" and len(self.serial_calls) == 1
+        self.assert_no_child()
+
+    def test_refused_fork_serial_gaps(self, path_split, monkeypatch):
+        # the fork fails, as under strict overcommit: the caller runs the serial gap_process
+        spec = get_problem("nonconvex-diffusion")
+        inputs = self.inputs(spec)
+        serial = self.serial(path_split, spec, inputs)
+        forks = []
+
+        def refused():
+            forks.append(None)
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert self.gap_bytes(self.prepare(spec, inputs).gaps) == serial
+        assert len(forks) == 1 and len(self.serial_calls) == 1
+        self.assert_no_child()
+
+    def test_child_sweep_exception_raised_as_serial(self, path_split, tmp_path):
+        # a sweep-only coefficient raises, so under the overlap first in the
+        # child: the serial rerun raises it again, in the caller
+        class Boom(Exception):
+            pass
+
+        spec = get_problem("nonconvex-diffusion")
+        inputs = self.inputs(spec)
+        raisers = tmp_path / "raisers"
+
+        def failing(t, x, u):
+            if t <= 0.5:
+                with open(raisers, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                raise Boom(f"sigma_x failed at t = {t}")
+            return spec.coefficients.sigma_x(t, x, u)
+
+        failing_spec = dataclasses.replace(
+            spec, coefficients=dataclasses.replace(spec.coefficients, sigma_x=failing))
+        messages = []
+        for cpus in (1, 2):
+            path_split(cpus=cpus, per_worker=1 << 20)
+            with pytest.raises(Boom) as info:
+                self.prepare(failing_spec, inputs)
+            messages.append(str(info.value))
+        assert messages == ["sigma_x failed at t = 0.5"] * 2
+        pids = raisers.read_text().split()
+        assert len(pids) == 3 and pids[1] != pids[0] == pids[2] == str(os.getpid())
+        self.assert_no_child()
+
+    def test_nonfinite_adjoint_named_as_serial(self, path_split):
+        # f_x is NaN above x = 0.6, so p_i is, from the last step with such a state
+        spec = scalar_spec(sigma=lambda t, x, u: np.full_like(x, 0.5), x0=0.2,
+                           f_x=lambda t, x, u: np.where(x > 0.6, np.nan, 0.0))
+        inputs = self.inputs(spec, M=200, depth=3)
+        x = inputs[3].states[:-1, :, 0]
+        step = max(i for i in range(8) if np.any(x[i] > 0.6))
+        text = rf"^non-finite adjoint at step {step}, path {int(np.argmax(x[step] > 0.6))}$"
+        for cpus in (1, 2):
+            path_split(cpus=cpus, per_worker=1 << 20)
+            with pytest.raises(SimulationError, match=text):
+                self.prepare(spec, inputs)
+        self.assert_no_child()
+
+    @staticmethod
+    def slow_caller(monkeypatch, tmp_path):
+        """The caller's first minimize_h sleeps, so the child fills the ring
+        and minimizes the later steps itself, noting each in the file returned."""
+        hamiltonian = sys.modules["msa_control.hamiltonian"]  # the package's name is a function
+        caller, minimize_h = os.getpid(), hamiltonian.minimize_h
+        minimizers = tmp_path / "minimizers"
+        minimizers.write_text("")
+        sleeps = [0.25]
+
+        def timed(*args):
+            if os.getpid() == caller:
+                time.sleep(sleeps.pop() if sleeps else 0.0)
+            else:
+                with open(minimizers, "a") as fh:
+                    fh.write("child\n")
+            return minimize_h(*args)
+
+        monkeypatch.setattr(hamiltonian, "minimize_h", timed)
+        return minimizers
+
+    def test_slow_caller_child_minimizes(self, path_split, monkeypatch, tmp_path):
+        # every gap and argmin is still the serial one, byte for byte and in the same dtype
+        spec = get_problem("lq-scalar")
+        inputs = self.inputs(spec, index=spec.domain.size - 1)
+        serial = self.serial(path_split, spec, inputs)
+        minimizers = self.slow_caller(monkeypatch, tmp_path)
+        assert self.gap_bytes(self.prepare(spec, inputs).gaps) == serial
+        assert minimizers.read_text().count("child") >= 1 and self.serial_calls == []
+        self.assert_no_child()
+
+    def test_one_cpu_forks_nothing(self, path_split, monkeypatch):
+        spec = get_problem("nonconvex-diffusion")
+        inputs = self.inputs(spec)
+        path_split(cpus=1, per_worker=1 << 20)
+        forks = []
+
+        def refused():
+            forks.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refused)
+        self.prepare(spec, inputs)
+        assert forks == [] and len(self.serial_calls) == 1
+
+    @pytest.mark.parametrize("slow", [False, True], ids=["caller-minimizes", "child-minimizes"])
+    def test_coupled_2d_ring_equals_serial(self, path_split, monkeypatch, tmp_path, slow):
+        # n = d = k = 2: ring slots (K, M, 2), (K, M, 2, 2) and (K, M, 2, 2),
+        # with the later steps minimized in the child if the caller is slowed
+        spec = lq_embed(coupled_lq2d())
+        grid, W, u, X, J = inputs = self.inputs(spec, M=400, depth=5)
+        streamed = gap_process(spec, grid, X, u,
+                               adjoint_sweep(spec, grid, X, u, RegressionBasis(), W))
+        minimizers = self.slow_caller(monkeypatch, tmp_path) if slow else None
+        path_split(cpus=2, per_worker=1 << 20)
+        assert self.gap_bytes(self.prepare(spec, inputs).gaps) == self.gap_bytes(streamed)
+        assert self.serial_calls == []
+        if slow:
+            assert minimizers.read_text().count("child") >= 1
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("blas_threads", [None, "2"], ids=["openblas-threads-unset", "2"])
+    def test_coupled_2d_run_equal_for_any_cpu_count(self, path_split, blas_threads):
+        # a small 2-D solve, in a subprocess with OPENBLAS_NUM_THREADS unset or
+        # set (the child runs OpenBLAS after a fork), on 1 and on 2 CPUs
+        script = (
+            "import os, sys\n"
+            "from msa_control import MSAConfig, lq_embed, run_msa\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from conftest import coupled_lq2d\n"
+            "for cpus in (1, 2):\n"
+            "    os.sched_getaffinity = lambda pid: set(range(cpus))\n"
+            "    config = MSAConfig(M=300, depth=4, N_max=4, m_max=3, seed=0)\n"
+            "    run = run_msa(lq_embed(coupled_lq2d()), config, 'worst-constant')\n"
+            "    print(run.J_final.hex(), run.mu_final.hex(), len(run.records))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        src = os.path.dirname(os.path.dirname(msa_module.__file__))
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script, os.path.dirname(__file__)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        one, two = proc.stdout.splitlines()
+        assert one == two and int(one.split()[2]) >= 2
+        path_split(cpus=1, per_worker=1 << 20)
+        run = run_msa(lq_embed(coupled_lq2d()),
+                      MSAConfig(M=300, depth=4, N_max=4, m_max=3, seed=0), "worst-constant")
+        assert one == f"{run.J_final.hex()} {run.mu_final.hex()} {len(run.records)}"
 
 
 class TestMSAConfig:

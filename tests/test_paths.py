@@ -78,7 +78,7 @@ class TestGenerateBrownian:
         assert np.array_equal(a.increments, b.increments[:, :3])
 
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 5])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**63 + 5])
     def test_stream_pinned_per_path(self, d, seed):
         # path p is the Philox stream keyed by (seed, p), across block edges
         grid = TimeGrid(T=1.0, depth=3)
@@ -90,6 +90,26 @@ class TestGenerateBrownian:
             gen = np.random.Generator(np.random.Philox(key=key))
             ref = gen.standard_normal((grid.steps, d)) * np.sqrt(grid.dt)
             assert np.array_equal(W.increments[:, p], ref), p
+
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, float("nan")], ids=["-1", "2**64", "nan"])
+    def test_seed_outside_u64_rejected(self, path_split, monkeypatch, seed):
+        # -1 drew seed 2**64 - 1's streams and 2**64 seed 0's; a seeded
+        # stream_states refuses it before it forks a worker
+        grid, forks = TimeGrid(T=1.0, depth=3), []
+
+        def refused_fork():
+            forks.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refused_fork)
+        path_split(cpus=2, per_worker=2)
+        u = ControlProcess.constant(0, 4, grid.steps, 3)
+        for draw in (lambda: generate_brownian(grid, 4, 1, seed),
+                     lambda: stream_states(scalar_spec(), grid, seed, u, range(1))):
+            with pytest.raises(ValueError, match=r"^seed .* outside 0\.\.2\*\*64-1$"):
+                draw()
+        assert forks == []
 
 
 class TestSimulateState:
