@@ -1,7 +1,8 @@
 """Run the benchmark in alternating pairs against a parent checkout and
 report, per workload, the end-to-end metrics of both sides, each side's
 result fields seed by seed, and the result fields that differ from the
-parent's.
+parent's.  The report also gives each side's count of ``src/`` Python lines
+(``src_lines``), from which the change's net line count follows.
 
 Each metric also states the acceptance rule.  ``gain_shown``: the change
 wins at least 9 of 10 pairs, and its median beats the parent's by more than
@@ -135,6 +136,11 @@ def host() -> dict:
             "blas_kernel": _blas_kernel(numpy), "machine": platform.machine()}
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under checkout/src."""
+    return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
+
+
 def _seeds(text: str) -> list:
     """'1-10' or '1,3,5'."""
     if "-" in text:
@@ -157,6 +163,7 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload <name> --seed <seed> "
                    f"--seconds {seconds:g} --trace 0",
         "host": host(),
+        "src_lines": {"parent": src_lines(args.parent), "change": src_lines(ROOT)},
         "workloads": {},
     }
     for workload in args.workloads:

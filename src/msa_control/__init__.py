@@ -5,7 +5,6 @@ from .adjoint import (
     AdjointFirst,
     AdjointSecond,
     RegressionBasis,
-    RegressionRankError,
     adjoint_sweep,
     hessian_of_H,
     solve_first_adjoint,

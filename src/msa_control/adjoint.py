@@ -5,9 +5,10 @@ the frozen ensemble by one backward induction, ``adjoint_sweep``, which
 yields each step's slices as it computes them and stores none.  Conditional
 expectations are estimated by ridge-regularized polynomial regression on the
 state (Gobet, Lemor and Warin, Ann. Appl. Probab. 2005), fitted by one
-``_regressor`` per step.  The q
-(and transient Q) targets use the quotient estimator p_{t+1} dW / dt with the
-regressed continuation value subtracted as a zero-mean control variate.
+``_regressor`` per step, which solves the symmetric positive definite
+A'A + ridge I that ``RegressionBasis`` keeps nonsingular.  The q (and transient
+Q) targets use the quotient estimator p_{t+1} dW / dt with the regressed
+continuation value subtracted as a zero-mean control variate.
 Stored adjoints are time-major, like the states they are regressed on.
 """
 
@@ -25,16 +26,19 @@ from .paths import BrownianEnsemble, ControlProcess, StateEnsemble, TimeGrid, _c
 Array = np.ndarray
 
 
-class RegressionRankError(RuntimeError):
-    """Normal equations were rank deficient with ridge = 0."""
-
-
 @dataclass(frozen=True)
 class RegressionBasis:
     """Total-degree multivariate polynomial features of the state."""
 
     degree: int = 2
     ridge: float = 1e-8
+
+    def __post_init__(self):
+        if not (self.degree >= 0 and self.ridge >= 0):  # written so that a NaN fails it
+            raise ValueError("degree and ridge must be nonnegative")
+        if self.ridge == 0 and self.degree >= 1:
+            # every path starts at x0, so the step-0 design matrix has rank 1
+            raise ValueError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")
 
     def feature_count(self, n: int) -> int:
         return comb(n + self.degree, self.degree)
@@ -65,26 +69,17 @@ class AdjointSecond:
 
 
 def _regressor(states: Array, basis: RegressionBasis):
-    """Features and ridge Gram matrix of one state slice, built once; the
-    returned fit(y) regresses any (M, ...) target block on them and returns
-    (coefficients, fitted values).  With ridge = 0 it uses lstsq."""
+    """Features and ridge Gram matrix A'A + ridge I of one state slice, built
+    once; the returned fit(y) regresses any (M, ...) target block on them and
+    returns the fitted values."""
     A = basis.features(np.asarray(states, dtype=float))
     M, F = A.shape
     if M <= F:
         raise ValueError(f"need more samples ({M}) than features ({F})")
-    gram = A.T @ A + basis.ridge * np.eye(F) if basis.ridge > 0 else None
+    gram = A.T @ A + basis.ridge * np.eye(F)
 
-    def fit(y: Array):
-        y2 = y.reshape(M, -1)
-        if gram is not None:
-            coef = np.linalg.solve(gram, A.T @ y2)
-        else:
-            coef, _, rank, _ = np.linalg.lstsq(A, y2, rcond=None)
-            if rank < F:
-                raise RegressionRankError(
-                    f"design matrix rank {rank} < {F} features; set ridge > 0"
-                )
-        return coef.reshape((F,) + y.shape[1:]), (A @ coef).reshape(y.shape)
+    def fit(y: Array) -> Array:
+        return (A @ np.linalg.solve(gram, A.T @ y.reshape(M, -1))).reshape(y.shape)
 
     return fit
 
@@ -139,9 +134,9 @@ def adjoint_sweep(
         ui = pts[u.values[i]]
         dw = W.increments[i]  # (M, d)
         fit = _regressor(xi, basis)  # one Gram matrix for all four fits
-        phat, Phat = fit(p)[1], fit(P)[1]
-        q = fit((p - phat)[:, :, None] * dw[:, None, :] / dt)[1]
-        Qhat = fit((P - Phat)[:, :, :, None] * dw[:, None, None, :] / dt)[1]
+        phat, Phat = fit(p), fit(P)
+        q = fit((p - phat)[:, :, None] * dw[:, None, :] / dt)
+        Qhat = fit((P - Phat)[:, :, :, None] * dw[:, None, None, :] / dt)
         b_x = np.asarray(c.b_x(t, xi, ui))
         sigma_x = np.asarray(c.sigma_x(t, xi, ui))
         f_x = np.asarray(c.f_x(t, xi, ui))

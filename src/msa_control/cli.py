@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import registry
-from .adjoint import RegressionRankError
 from .model import ControlDomain, LQSpec, ProblemSpec, lq_embed
 from .msa import MSAConfig, records_to_csv, run_msa, to_csv
 from .oracle import (
@@ -54,12 +53,12 @@ def _setup_logging() -> None:
 
 
 def _load_json(path) -> object:
-    """Parse a config file ({} for none); a non-finite number is an error."""
+    """Parse a UTF-8 config file ({} for none); a non-finite number is an error."""
     if path is None:
         return {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def finite(literal, parse=float):
@@ -75,6 +74,15 @@ def _load_json(path) -> object:
         raise ConfigError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"invalid JSON in {path}: nested too deep to parse") from exc
+
+
+def _check_keys(obj: dict, keys, what: str) -> None:
+    """Refuse a key of obj that is not in keys, naming the ones that are."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} for {what}; it reads {', '.join(keys)}")
 
 
 def _number(key: str, value):
@@ -89,6 +97,11 @@ def _number(key: str, value):
     return kind(value)
 
 
+# The keys of an inline LQ problem; an optional one that is absent reads as zeros.
+_LQ_OPTIONAL = ("b2", "sigma0", "sigma_u", "g_lin", "g_quad")
+_LQ_KEYS = ("type", "n", "d", "k", "T", "x0", "b1", "G", "Gamma", "domain", *_LQ_OPTIONAL)
+
+
 def _problem_from_config(obj) -> ProblemSpec:
     if isinstance(obj, str):
         try:
@@ -97,6 +110,7 @@ def _problem_from_config(obj) -> ProblemSpec:
             raise ConfigError(str(exc)) from exc
     if not isinstance(obj, dict) or obj.get("type") != "lq":
         raise ConfigError("'problem' must be a registry name or an object with \"type\": \"lq\"")
+    _check_keys(obj, _LQ_KEYS, "an inline LQ problem")
     try:
         n, d, k = (_number(key, obj[key]) for key in "ndk")
         # the optional arrays default to zeros of these sizes: bound them first
@@ -108,7 +122,7 @@ def _problem_from_config(obj) -> ProblemSpec:
         def array(key, *shape):
             """obj[key] as floats, of this shape if one is given; zeros if an
             optional key is absent.  Each leaf must be a JSON number."""
-            if key not in obj and key in ("b2", "sigma0", "sigma_u", "g_lin", "g_quad"):
+            if key not in obj and key in _LQ_OPTIONAL:
                 return np.zeros(shape)
             value = np.asarray(obj[key], dtype=float)  # a ragged list raises here
             for leaf in np.asarray(obj[key], dtype=object).ravel():
@@ -163,9 +177,7 @@ def _resolve(cfg, command: str, seed):
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, not a {type(cfg).__name__}")
     keys = _KEYS[command]
-    for key in cfg:
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r} for {command}; it reads {', '.join(keys)}")
+    _check_keys(cfg, keys, command)
     fields = {
         "depth" if key == "G" else key: _number(key, cfg.get(key, default))
         for key, default in keys.items()
@@ -327,7 +339,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationError, RegressionRankError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (SimulationError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     out.mkdir(parents=True, exist_ok=True)

@@ -134,12 +134,10 @@ class MSAConfig:
             raise ValueError("N_max must be between 1 and the grid depth")
         if not (self.m_max >= 0 and self.M >= 1):
             raise ValueError("m_max must be >= 0 and M >= 1")
-        if not (self.mu_tol >= 0 and self.degree >= 0 and self.ridge >= 0):
-            raise ValueError("mu_tol, degree and ridge must be nonnegative")
+        if not self.mu_tol >= 0:
+            raise ValueError("mu_tol must be nonnegative")
+        self.basis  # RegressionBasis refuses a degree and ridge it cannot fit
         _check_seed(self.seed)
-        if self.ridge == 0 and self.degree >= 1:
-            # every path starts at x0, so the step-0 design matrix has rank 1
-            raise ValueError("ridge = 0 needs degree = 0: the step-0 regression is rank 1")
 
     @property
     def basis(self) -> RegressionBasis:

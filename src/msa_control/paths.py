@@ -104,7 +104,7 @@ def _fill_brownian(out: Array, first: int, seed: int, dt: float) -> Array:
     # Philox is counter-based: restoring a fresh state (counter 0, empty
     # buffer) with key (seed, p) gives exactly the stream of a newly built
     # Philox(key=(seed, p)), without building one per path.
-    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     key = fresh["state"]["key"]
@@ -121,8 +121,9 @@ def _fill_brownian(out: Array, first: int, seed: int, dt: float) -> Array:
 
 
 def _check_seed(seed: int) -> None:
-    """Refuse a seed that the Philox key and the binary header would reduce mod 2^64."""
-    if not 0 <= seed < 2**64:  # written as "not ok" so that a NaN fails it
+    """Refuse a seed that the Philox key and the binary header would reduce mod
+    2^64, or the key would truncate to an integer."""
+    if not 0 <= seed < 2**64 or seed % 1:  # written as "not ok" so that a NaN fails it
         raise ValueError(f"seed {seed} outside 0..2**64-1")
 
 

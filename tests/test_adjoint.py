@@ -6,7 +6,6 @@ from msa_control import (
     ControlProcess,
     LQSpec,
     RegressionBasis,
-    RegressionRankError,
     TimeGrid,
     generate_brownian,
     get_lq,
@@ -54,14 +53,14 @@ class TestRegressConditional:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(500, 1))
         y = np.full(500, 3.0)
-        _, fitted = _regressor(x, RegressionBasis())(y)
+        fitted = _regressor(x, RegressionBasis())(y)
         np.testing.assert_allclose(fitted, 3.0, atol=1e-6)
 
     def test_linear_recovered(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(500, 2))
         y = 2.0 * x[:, 0] - x[:, 1] + 0.5
-        _, fitted = _regressor(x, RegressionBasis())(y)
+        fitted = _regressor(x, RegressionBasis())(y)
         np.testing.assert_allclose(fitted, y, atol=1e-5)
 
     def test_quadratic_conditional_mean(self):
@@ -69,16 +68,26 @@ class TestRegressConditional:
         x = rng.normal(size=(20_000, 1))
         noise = rng.normal(size=20_000)
         y = x[:, 0] ** 2 + noise
-        coef, _ = _regressor(x, RegressionBasis())(y)
-        assert coef[2] == pytest.approx(1.0, rel=0.05)
+        fitted = _regressor(x, RegressionBasis())(y)
+        assert np.polyfit(x[:, 0], fitted, 2)[0] == pytest.approx(1.0, rel=0.05)
 
     def test_rank_deficient_without_ridge(self):
-        rng = np.random.default_rng(3)
-        col = rng.normal(size=(100, 1))
-        states = np.hstack([col, col])  # duplicated coordinate
-        y = col[:, 0]
-        with pytest.raises(RegressionRankError):
-            _regressor(states, RegressionBasis(degree=1, ridge=0.0))(y)
+        # every path starts at x0, so without a ridge only degree 0 is solvable
+        assert RegressionBasis(degree=0, ridge=0.0).ridge == 0.0
+        with pytest.raises(ValueError, match=r"^ridge = 0 needs degree = 0: the step-0 regression"):
+            RegressionBasis(degree=1, ridge=0.0)
+
+    @pytest.mark.parametrize("degree, ridge", [(2, -1e-8), (-1, 1e-8), (2, float("nan"))],
+                             ids=["ridge-negative", "degree-negative", "ridge-nan"])
+    def test_negative_or_nan_refused(self, degree, ridge):
+        with pytest.raises(ValueError, match="^degree and ridge must be nonnegative$"):
+            RegressionBasis(degree=degree, ridge=ridge)
+
+    def test_constant_fit_without_ridge(self):
+        # degree 0, ridge 0: the Gram matrix [M] fits every target by its mean
+        y = np.random.default_rng(4).normal(size=(300, 2))
+        fitted = _regressor(np.ones((300, 1)), RegressionBasis(degree=0, ridge=0.0))(y)
+        np.testing.assert_allclose(fitted, np.broadcast_to(y.mean(axis=0), y.shape), rtol=1e-12)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):

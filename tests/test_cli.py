@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import msa_control
@@ -113,18 +114,21 @@ class TestSolve:
             {"problem": {**INLINE_LQ, "d": 10**15}},
             {"problem": {**INLINE_LQ, "domain": [[[0.0]], [[1.0]]]}},
             {"problem": {**INLINE_LQ, "domain": 1.0}},
+            # bytes are the whole config file too
+            b'\xff\xfe{"M": 300}', b"[" * 100_000 + b"]" * 100_000,
         ],
         ids=[
             "M-not-above-features", "u0-unknown", "u0-index-99", "u0-index-minus-1",
             "ridge-zero-with-degree", "top-level-list", "G-40", "G-1e9", "mu_tol-nan",
             "ridge-overflow", "M-non-integral", "M-string", "m_max-bool", "unknown-key",
-            "inline-lq-d-1e15", "inline-domain-3d", "inline-domain-scalar",
+            "inline-lq-d-1e15", "inline-domain-3d", "inline-domain-scalar", "not-utf-8",
+            "nested-too-deep",
         ],
     )
     def test_invalid_run_input(self, tmp_path, capsys, overrides):
-        if isinstance(overrides, str):
+        if isinstance(overrides, (str, bytes)):
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(overrides)
+            cfg.write_bytes(overrides.encode() if isinstance(overrides, str) else overrides)
         else:
             cfg = write_config(tmp_path, **overrides)
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -134,19 +138,26 @@ class TestSolve:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_rank_error_exits_numerical(self, tmp_path, capsys, monkeypatch):
+    def test_linalg_error_exits_numerical(self, tmp_path, capsys, monkeypatch):
         import msa_control.cli as cli
 
-        def rank_deficient(*args, **kwargs):
-            raise cli.RegressionRankError("design matrix rank 1 < 3 features; set ridge > 0")
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(cli, "run_msa", rank_deficient)
+        monkeypatch.setattr(cli, "run_msa", singular)
         cfg = write_config(tmp_path)
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_NUMERICAL
-        assert capsys.readouterr().err == (
-            "numerical failure: design matrix rank 1 < 3 features; set ridge > 0\n"
-        )
+        assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_ridge_zero_with_degree_zero_runs(self, tmp_path):
+        # the one ridge-0 basis: its Gram matrix is [M]
+        cfg = write_config(tmp_path, M=300, G=5, m_max=3, degree=0, ridge=0)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["J_final"] <= summary["J_initial"]
 
     def test_diverging_initializer_exits_numerical(self, tmp_path, capsys):
         # b1 = 1e300 sends every constant control to inf at step 2
@@ -197,6 +208,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: bad inline LQ problem") and err.count("\n") == 1
         assert "x0" in err
+
+    def test_inline_lq_unknown_key(self, tmp_path, capsys):
+        # a misspelled optional key would leave sigma_u at its zero default
+        problem = {**{k: v for k, v in INLINE_LQ.items() if k != "sigma_u"},
+                   "sigma_U": INLINE_LQ["sigma_u"]}
+        cfg = write_config(tmp_path, problem=problem)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'sigma_U' for an inline LQ problem; it reads ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_inline_lq_problem(self, tmp_path):
         cfg = write_config(

@@ -92,10 +92,12 @@ class TestGenerateBrownian:
             assert np.array_equal(W.increments[:, p], ref), p
 
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, float("nan")], ids=["-1", "2**64", "nan"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, float("nan"), 2.5],
+                             ids=["-1", "2**64", "nan", "2.5"])
     def test_seed_outside_u64_rejected(self, path_split, monkeypatch, seed):
-        # -1 drew seed 2**64 - 1's streams and 2**64 seed 0's; a seeded
-        # stream_states refuses it before it forks a worker
+        # -1 drew seed 2**64 - 1's streams and 2**64 seed 0's, and the Philox
+        # key would truncate 2.5 to 2; a seeded stream_states refuses each
+        # before it forks a worker
         grid, forks = TimeGrid(T=1.0, depth=3), []
 
         def refused_fork():

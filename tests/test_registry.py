@@ -23,7 +23,7 @@ def test_public_names():
         "AdjointFirst", "AdjointSecond", "BrownianEnsemble", "CSV_HEADER", "CoefficientSet",
         "ControlDomain", "ControlProcess", "GapProcess", "IterationRecord", "LQOracle", "LQSpec",
         "MSAConfig", "MSARun", "ProblemSpec", "ProvenanceError", "RateResult", "RegressionBasis",
-        "RegressionRankError", "RemainderResult", "SequenceResult", "ShapeError",
+        "RemainderResult", "SequenceResult", "ShapeError",
         "SimulationError", "SolverState", "StateEnsemble", "TimeGrid", "VariationalResult",
         "adjoint_sweep", "array_bytes", "build_oracle", "check_descent_log", "dyadic_interval",
         "evaluate_cost",
