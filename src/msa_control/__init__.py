@@ -10,7 +10,7 @@ from .adjoint import (
     solve_first_adjoint,
     solve_second_adjoint,
 )
-from .hamiltonian import GapProcess, gap_process, h_function, hamiltonian, minimize_h, mu
+from .hamiltonian import GapProcess, gap_process, h_function, minimize_h, mu
 from .model import (
     CoefficientSet,
     ControlDomain,

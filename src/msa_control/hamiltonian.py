@@ -1,4 +1,4 @@
-"""Hamiltonian, generalized H-function, pathwise minimizer and the gap mu.
+"""Generalized H-function, its pathwise minimizer, the gap process and the gap mu.
 
 The H-function augments the Hamiltonian with the second-order diffusion
 correction required when controls enter the diffusion and the control set is
@@ -27,20 +27,6 @@ class GapProcess:
 
     values: Array          # (steps, M), all <= 0
     argmin_indices: Array  # (steps, M) domain indices, in ControlProcess's dtype
-
-
-def _h_terms(p: Array, q: Array, b: Array, sig: Array, f: Array) -> Array:
-    # p'b + <q, sigma> + f; b, sig, f may carry a leading candidate axis
-    # that the per-path p and q broadcast against
-    return np.einsum("bi,...bi->...b", p, b) + np.einsum("bid,...bid->...b", q, sig) + f
-
-
-def hamiltonian(spec: ProblemSpec, t: float, x: Array, p: Array, q: Array, u_pts: Array) -> Array:
-    """H = p'b + <q, sigma> + f, batched over the leading axis."""
-    c = spec.coefficients
-    b = np.asarray(c.b(t, x, u_pts))
-    sig = np.asarray(c.sigma(t, x, u_pts))
-    return _h_terms(p, q, b, sig, np.asarray(c.f(t, x, u_pts)))
 
 
 def _quad(A: Array, P: Array) -> Array:
@@ -74,7 +60,8 @@ def h_function(
     sig_v = np.asarray(c.sigma(t, xv, vv)).reshape(lead + (spec.n, spec.d))
     f = np.asarray(c.f(t, xv, vv)).reshape(lead)
     sig_u = np.asarray(c.sigma(t, x, u_pts))
-    H = _h_terms(p, q, b, sig_v, f)
+    # the Hamiltonian p'b + <q, sigma> + f, the per-path p and q broadcast against the block
+    H = np.einsum("bi,...bi->...b", p, b) + np.einsum("bid,...bid->...b", q, sig_v) + f
     return H + 0.5 * _quad(sig_v - sig_u, P) - 0.5 * _quad(sig_u, P)
 
 

@@ -394,6 +394,8 @@ def remainder_experiment(
         R = float(np.sum(r) / config.M)
         means = np.append(r, r[config.M & ~1 :]).reshape(-1, 2).mean(axis=1) if conditional else r
         se = float(np.std(means) / np.sqrt(means.shape[0]))
+        if not np.isfinite([R, se]).all():
+            raise SimulationError(f"non-finite remainder or its standard error at eps {eps!r}")
         rows.append((float(eps), R, abs(R) < 10.0 * se))
         ses.append(se)
 

@@ -360,7 +360,8 @@ def array_bytes(arr: Array, seed: int) -> bytes:
     if arr.ndim == 2:
         arr = arr[:, :, None]
     steps, M, dim = arr.shape
-    header = _HEADER.pack(M, steps, dim, seed & 0xFFFFFFFFFFFFFFFF)
+    _check_seed(seed)
+    header = _HEADER.pack(M, steps, dim, int(seed))
     return header + np.ascontiguousarray(arr.transpose(1, 0, 2)).tobytes()
 
 

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import math
 import os
 import re
 import resource
@@ -47,6 +49,37 @@ def strict_json(path):
         raise ValueError(f"{token} in {path}")
 
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def non_finite_outputs(out):
+    """The CSV and JSON files in out that hold a NaN or an infinity, found by
+    parsing every JSON number and every CSV cell that reads as a number."""
+
+    def json_numbers(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            return [x for item in value for x in json_numbers(item)]
+        return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+    def csv_numbers(text):
+        for cell in (cell for row in csv.reader(text.splitlines()) for cell in row):
+            try:
+                yield float(cell)
+            except ValueError:  # a header or a flag
+                pass
+
+    bad = []
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            values = json_numbers(json.loads(path.read_text(), parse_constant=float))
+        elif path.suffix == ".csv":
+            values = list(csv_numbers(path.read_text()))
+        else:
+            continue
+        if not all(math.isfinite(x) for x in values):
+            bad.append(path.name)
+    return bad
 
 
 def strip_wall_time(csv_text):
@@ -453,6 +486,7 @@ INLINE_LQ_MUTATIONS = [
     {"sigma_u": [[[1e308]]]}, {"g_lin": [1e308]}, {"g_quad": [[1e308]]},
     {"domain": [[1e308]]}, {"domain": []}, {"domain": [[1.0], [1.0]]}, {"n": 2}, {"d": 0},
     {"k": 2}, {"type": "quadratic"}, {"T": None}, {"domain": [[-1e308], [1e308]]},
+    {"g_quad": [[-1e300]]}, {"G": [[-1e300]]}, {"Gamma": [[-1e300]]},
 ]
 
 
@@ -497,7 +531,7 @@ class TestExitContract:
     @pytest.mark.parametrize("group", [*FUZZ_BASE, "inline-lq"])
     def test_fuzzed_configs_keep_exit_contract(self, tmp_path, capsys, group):
         # exit 0, 2 or 3; one stderr line exactly when not 0; no warning; no
-        # --out after a failure
+        # --out after a failure; no NaN or infinity in an output after exit 0
         breaches = []
         for case, (command, cfg) in enumerate(fuzz_cases(group)):
             path, out = tmp_path / f"cfg{case}.json", tmp_path / f"out{case}"
@@ -512,6 +546,8 @@ class TestExitContract:
             if caught or not (rc == EXIT_OK and err == "" or failed):
                 warned = sorted({str(w.message) for w in caught})
                 breaches.append(f"{command} {json.dumps(cfg)}: exit {rc}, {err!r}, {warned}")
+            elif rc == EXIT_OK and (bad := non_finite_outputs(out)):
+                breaches.append(f"{command} {json.dumps(cfg)}: non-finite numbers in {bad}")
         assert breaches == []
 
     def run_out_of_memory(self, tmp_path, argv, config, allocation):

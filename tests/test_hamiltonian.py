@@ -15,7 +15,6 @@ from msa_control import (
     get_lq,
     get_problem,
     h_function,
-    hamiltonian,
     lq_closed_form_adjoint,
     lq_embed,
     minimize_h,
@@ -36,10 +35,15 @@ def batch(*vals):
     return np.asarray(vals, dtype=float).reshape(1, -1)
 
 
+def plain_hamiltonian(spec, x, p, q, u):
+    """H = p b + q sigma + f at u: the H-function with P = 0 and v = u."""
+    return h_function(spec, 0.0, x, p, q, np.zeros((1, 1, 1)), u, u)
+
+
 class TestHamiltonian:
     def test_reduces_to_running_cost(self):
         spec = scalar_spec(f=lambda t, x, u: np.full(x.shape[0], 4.0))
-        out = hamiltonian(spec, 0.0, batch(0.0), batch(0.0), np.zeros((1, 1, 1)), batch(0.0))
+        out = plain_hamiltonian(spec, batch(0.0), batch(0.0), np.zeros((1, 1, 1)), batch(0.0))
         assert out[0] == pytest.approx(4.0)
 
     def test_constant_pieces(self):
@@ -49,9 +53,7 @@ class TestHamiltonian:
             sigma=lambda t, x, u: np.full(x.shape[0], 5.0),
             f=lambda t, x, u: np.full(x.shape[0], 1.0),
         )
-        out = hamiltonian(
-            spec, 0.0, batch(0.0), batch(2.0), np.full((1, 1, 1), 4.0), batch(0.0)
-        )
+        out = plain_hamiltonian(spec, batch(0.0), batch(2.0), np.full((1, 1, 1), 4.0), batch(0.0))
         assert out[0] == pytest.approx(27.0)
 
 
@@ -67,13 +69,14 @@ class TestHFunction:
         assert out[0] == pytest.approx(-1.0)
 
     def test_zero_curvature_is_plain_hamiltonian(self):
-        spec = scalar_spec(sigma=lambda t, x, u: u, f=lambda t, x, u: u**2)
-        x, p = batch(0.0), batch(0.0)
-        q = np.zeros((1, 1, 1))
+        # P = 0: H(v) = p b(v) + q sigma(v) + f(v) = 2*(-3) + 4*3 + 3**2 = 15, whatever u is
+        spec = scalar_spec(b=lambda t, x, u: -u, sigma=lambda t, x, u: u, f=lambda t, x, u: u**2)
+        x, p = batch(0.0), batch(2.0)
+        q = np.full((1, 1, 1), 4.0)
         P = np.zeros((1, 1, 1))
         v, u = batch(3.0), batch(1.0)
         out = h_function(spec, 0.0, x, p, q, P, v, u)
-        assert out[0] == pytest.approx(hamiltonian(spec, 0.0, x, p, q, v)[0])
+        assert out[0] == pytest.approx(15.0)
 
     def test_diffusion_difference_term(self):
         # sigma(v)=3, sigma(u)=0, P=2: 0.5 * 9 * 2 = 9

@@ -41,6 +41,7 @@ from msa_control import (
 )
 
 from msa_control import adjoint_sweep, gap_process
+from msa_control import hamiltonian
 from msa_control import msa as msa_module
 from msa_control.adjoint import _collect
 from msa_control.msa import IterationRecord, SolverState, _initial_control
@@ -544,7 +545,6 @@ class TestOverlappedSweep:
     def slow_caller(monkeypatch, tmp_path):
         """The caller's first minimize_h sleeps, so the child fills the ring
         and minimizes the later steps itself, noting each in the file returned."""
-        hamiltonian = sys.modules["msa_control.hamiltonian"]  # the package's name is a function
         caller, minimize_h = os.getpid(), hamiltonian.minimize_h
         minimizers = tmp_path / "minimizers"
         minimizers.write_text("")

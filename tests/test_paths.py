@@ -679,13 +679,20 @@ class TestEulerWeakError:
 
 
 class TestBinaryRoundTrip:
-    def test_dump_load(self, tmp_path):
+    @pytest.mark.parametrize("seed", [42, np.int64(5), 2**64 - 1], ids=["42", "int64-5", "u64-max"])
+    def test_dump_load(self, tmp_path, seed):
         arr = np.arange(24, dtype=float).reshape(2, 4, 3)
         path = tmp_path / "a.bin"
-        path.write_bytes(array_bytes(arr, 42))
-        back, seed = load_array(path)
-        assert seed == 42
+        path.write_bytes(array_bytes(arr, seed))
+        back, read = load_array(path)
+        assert read == seed
         np.testing.assert_array_equal(back, arr)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.5], ids=["-1", "2**64", "2.5"])
+    def test_seed_outside_u64_rejected(self, seed):
+        # the header would hold it reduced mod 2**64 or truncated, and read back another seed
+        with pytest.raises(ValueError, match=rf"^seed {seed} outside 0\.\.2\*\*64-1$"):
+            array_bytes(np.zeros((2, 3)), seed)
 
     def test_2d_promoted(self, tmp_path):
         arr = np.arange(8, dtype=float).reshape(2, 4)

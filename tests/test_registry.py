@@ -1,3 +1,4 @@
+import importlib
 import types
 
 import numpy as np
@@ -28,13 +29,17 @@ def test_public_names():
         "adjoint_sweep", "array_bytes", "build_oracle", "check_descent_log", "dyadic_interval",
         "evaluate_cost",
         "find_descent_interval", "gap_process", "generate_brownian", "get_lq", "get_problem",
-        "h_function", "hamiltonian", "hessian_of_H", "load_array", "lq_closed_form_adjoint",
+        "h_function", "hessian_of_H", "load_array", "lq_closed_form_adjoint",
         "lq_embed", "lq_names", "lyapunov_solve", "minimize_h", "msa_step", "mu",
         "pathwise_cost", "prepare_state", "problem_names", "rate_experiment",
         "records_from_csv", "records_to_csv", "remainder_experiment", "run_msa",
         "sequence_lemma_check", "simulate_state", "solve_first_adjoint", "solve_second_adjoint",
         "spike_control", "variational_experiment", "variational_simulate",
     ]
+    # and no name shadows a submodule: once imported, the package's attribute is the module
+    for m in ("adjoint", "cli", "hamiltonian", "model", "msa", "oracle", "paths", "registry"):
+        module = importlib.import_module(f"msa_control.{m}")
+        assert getattr(msa_control, m) is module, m
 
 
 @pytest.mark.parametrize("name", ["lq-scalar", "nonconvex-diffusion"])
