@@ -10,7 +10,9 @@ the path split keeps tracing into its own copy of the executed lines; each
 one writes them to a temporary directory as it leaves through ``os._exit``,
 and they are merged before the report.  Standard library only, so
 it works where the ``coverage`` package is not installed; tracing makes the
-suite about 1.5x slower.  Exits with pytest's status.
+suite about 1.5x slower.  Exits with pytest's status, or 1 when a statement
+outside ``EXPECTED`` is unreached, so that a new dead branch fails the run.
+Statements are matched by file name and source text, not by line number.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "msa_control"
+# (file, source) of the statements the suite cannot reach in its own process:
+# the __main__ guard's body runs only in the subprocesses that tests start
+EXPECTED = {("cli.py", "sys.exit(main())")}
 
 
 def _statements(path: Path) -> dict:
@@ -86,14 +91,16 @@ def main(argv: list) -> int:
             spill.unlink()
         spills.rmdir()
 
-    missed = 0
+    missed = unexpected = 0
     for path in sorted(PACKAGE.glob("*.py")):
         for line, text in sorted(_statements(path).items()):
             if (str(path), line) not in executed:
                 print(f"{path.relative_to(ROOT)}:{line}: {text}")
                 missed += 1
-    print(f"{missed} statements in {PACKAGE.relative_to(ROOT)} not executed")
-    return int(status)
+                unexpected += (path.name, text) not in EXPECTED
+    print(f"{missed} statements in {PACKAGE.relative_to(ROOT)} not executed, "
+          f"{unexpected} of them unexpected")
+    return int(status) or int(unexpected > 0)
 
 
 if __name__ == "__main__":

@@ -166,7 +166,7 @@ _KEYS = {
     "sequence": {"m_max": 100_000},
 }
 _MAX_PATH_BYTES = 16 << 30
-_MAX_SEQUENCE_STEPS = 10**6  # about 30 s over the 12 (a1, A) pairs
+_MAX_SEQUENCE_STEPS = 10**6  # about 5 s over the 12 (a1, A) pairs
 _EPS_LEVELS = range(2, 7)  # validate remainder|variational: eps = T 2^-N around T/2
 
 

@@ -13,6 +13,7 @@ All but the conditional remainder run on the solver's ensemble and checked
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
@@ -127,10 +128,13 @@ def build_oracle(lq: LQSpec, grid: TimeGrid) -> LQOracle:
 # Convergence-rate experiment
 
 
-def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log ys against log xs; NaN below two points."""
-    if len(xs) < 2:
+def _loglog_slope(points: Sequence[Tuple[float, float]]) -> float:
+    """Least-squares slope of log y against log x over the (x, y) pairs with
+    y > 0; NaN below two such pairs."""
+    fit = [(x, y) for x, y in points if y > 0]
+    if len(fit) < 2:
         return float("nan")
+    xs, ys = zip(*fit)
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
@@ -177,7 +181,7 @@ def rate_experiment(
         rows.append((m1, a, float(a * np.sqrt(m1))))
     return RateResult(
         rows=rows,
-        slope=_loglog_slope([r[0] for r in rows], [max(r[1], floor) for r in rows]),
+        slope=_loglog_slope([(m1, max(a, floor)) for m1, a, _ in rows]),
         J_star_analytic=oracle.J_star,
         J_star_saa=J_star_saa,
         run=run,
@@ -399,8 +403,7 @@ def remainder_experiment(
         rows.append((float(eps), R, abs(R) < 10.0 * se))
         ses.append(se)
 
-    fit = [(e, abs(R)) for e, R, cen in rows if not cen and abs(R) > 0]
-    slope = _loglog_slope([e for e, _ in fit], [r for _, r in fit])
+    slope = _loglog_slope([(e, abs(R)) for e, R, cen in rows if not cen])
     return RemainderResult(rows=rows, slope=slope, standard_errors=ses)
 
 
@@ -487,9 +490,7 @@ def variational_experiment(
         lo, hi = _interval_steps(tau, eps, grid)
         _, e = variational_simulate(spec, grid, W, X, state.gaps, (lo, hi))
         rows.append((float(eps), e))
-    positive = [(e, v) for e, v in rows if v > 0]
-    slope = _loglog_slope([e for e, _ in positive], [v for _, v in positive])
-    return VariationalResult(rows=rows, slope=slope)
+    return VariationalResult(rows=rows, slope=_loglog_slope(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +510,9 @@ def sequence_lemma_check(a1: float, A: float, m_max: int) -> SequenceResult:
     and verify a_m sqrt(m) <= max(a_1, A^{-1/2}) for all m <= m_max."""
     if not (0 <= a1 < np.inf and 0 < A < np.inf):  # written as "not ok" so that a NaN fails it
         raise ValueError("need finite a1 >= 0 and A > 0")
-    bound = max(a1, A ** -0.5)
-    a = a1
-    max_b = 0.0
-    ok = True
+    bound = float(max(a1, A ** -0.5))
+    a, max_b = a1, 0.0
     for m in range(1, m_max + 1):
-        b = a * np.sqrt(m)
-        max_b = max(max_b, b)
-        if b > bound:
-            ok = False
+        max_b = max(max_b, a * math.sqrt(m))
         a = max(a - A * a**3, 0.0)
-    return SequenceResult(ok=ok, max_b=float(max_b), bound=float(bound), final_a=float(a))
+    return SequenceResult(ok=bool(max_b <= bound), max_b=float(max_b), bound=bound, final_a=float(a))

@@ -124,7 +124,7 @@ def _check_seed(seed: int) -> None:
     """Refuse a seed that the Philox key and the binary header would reduce mod
     2^64, or the key would truncate to an integer."""
     if not 0 <= seed < 2**64 or seed % 1:  # written as "not ok" so that a NaN fails it
-        raise ValueError(f"seed {seed} outside 0..2**64-1")
+        raise ValueError(f"seed {seed} must be an integer in 0..2**64-1")
 
 
 def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnsemble:

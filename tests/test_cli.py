@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
+import random
 import re
 import resource
 import subprocess
@@ -354,9 +356,10 @@ class TestValidate:
             ("remainder", {"M": 200, "G": 0},
              "error: bad run configuration: grid depth must be at least 1"),
             ("remainder", {"M": 200, "seed": -1},
-             "error: bad run configuration: seed -1 outside 0..2**64-1"),
+             "error: bad run configuration: seed -1 must be an integer in 0..2**64-1"),
             ("remainder", {"M": 200, "seed": 2**64},
-             "error: bad run configuration: seed 18446744073709551616 outside 0..2**64-1"),
+             "error: bad run configuration: seed 18446744073709551616 must be an integer in "
+             "0..2**64-1"),
         ],
         ids=[
             "remainder-u0-index", "remainder-coarse-grid", "variational-coarse-grid",
@@ -467,8 +470,9 @@ class TestParser:
         assert _load_json(None) == {}
 
 
-# Every subcommand's smallest run; each fuzz case below changes one key.  The
-# runs draw from MSAConfig's default seed, so every case is deterministic.
+# Every subcommand's smallest run; each fuzz case below changes one key, or two
+# in the group "pairs".  The runs draw from MSAConfig's default seed, so every
+# case is deterministic.
 FUZZ_BASE = {
     "solve": {"M": 50, "G": 2, "m_max": 1},
     "bench": {"M": 50, "G": 2, "m_max": 1},
@@ -488,20 +492,38 @@ INLINE_LQ_MUTATIONS = [
     {"k": 2}, {"type": "quadratic"}, {"T": None}, {"domain": [[-1e308], [1e308]]},
     {"g_quad": [[-1e300]]}, {"G": [[-1e300]]}, {"Gamma": [[-1e300]]},
 ]
+FUZZ_PAIRS = 150  # drawn per subcommand, and of inline LQ mutations
+
+
+def key_changes(command):
+    """Every (key, value) of a subcommand's keys and FUZZ_VALUES."""
+    return [(key, value) for key in _KEYS[command] for value in FUZZ_VALUES
+            if (key, value) != ("G", 7)]  # a G=7 grid is above this test's G <= 6
 
 
 def fuzz_cases(group):
     """(subcommand, config) pairs: every key of a subcommand set in turn to
-    each of FUZZ_VALUES, or every inline LQ mutation."""
+    each of FUZZ_VALUES, or every inline LQ mutation; the group "pairs"
+    applies two of either at once, on distinct keys, drawn with a fixed seed."""
     if group == "inline-lq":
         for mutation in INLINE_LQ_MUTATIONS:
             for command in ("solve", "remainder"):
                 yield command, {**FUZZ_BASE[command], "problem": {**INLINE_LQ, **mutation}}
-        return
-    for key in _KEYS[group]:
-        for value in FUZZ_VALUES:
-            if (key, value) != ("G", 7):  # a G=7 grid is above this test's G <= 6
-                yield group, {**FUZZ_BASE[group], key: value}
+    elif group == "pairs":
+        rng = random.Random(0)
+        lq_pairs = [(a, b) for a, b in itertools.combinations(INLINE_LQ_MUTATIONS, 2)
+                    if not a.keys() & b.keys()]
+        for a, b in rng.sample(lq_pairs, FUZZ_PAIRS):
+            for command in ("solve", "remainder"):
+                yield command, {**FUZZ_BASE[command], "problem": {**INLINE_LQ, **a, **b}}
+        for command in FUZZ_BASE:  # sequence reads one key, so it has no pairs
+            pairs = [(a, b) for a, b in itertools.combinations(key_changes(command), 2)
+                     if a[0] != b[0]]
+            for (k1, v1), (k2, v2) in rng.sample(pairs, min(FUZZ_PAIRS, len(pairs))):
+                yield command, {**FUZZ_BASE[command], k1: v1, k2: v2}
+    else:
+        for key, value in key_changes(group):
+            yield group, {**FUZZ_BASE[group], key: value}
 
 
 # Inline LQ entries that numpy would cast to floats (null to NaN, a bool or a
@@ -528,7 +550,7 @@ class TestExitContract:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("group", [*FUZZ_BASE, "inline-lq"])
+    @pytest.mark.parametrize("group", [*FUZZ_BASE, "inline-lq", "pairs"])
     def test_fuzzed_configs_keep_exit_contract(self, tmp_path, capsys, group):
         # exit 0, 2 or 3; one stderr line exactly when not 0; no warning; no
         # --out after a failure; no NaN or infinity in an output after exit 0

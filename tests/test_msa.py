@@ -200,6 +200,24 @@ class TestMsaStep:
         out = msa_step(spec, grid, W, state, MSAConfig(M=50, depth=3, N_max=3))
         assert out.kind == "exhausted"
 
+    def test_level_without_interval_skipped(self, monkeypatch):
+        # mu = -1 lies below anything gaps of -1e-3 can average to, so no
+        # interval qualifies at any level and no candidate is built
+        spec = lq_embed(get_lq("lq-scalar"))
+        grid = TimeGrid(T=1.0, depth=3)
+        W = generate_brownian(grid, 50, 1, 0)
+        u = ControlProcess.constant(0, 50, grid.steps, spec.domain.size)
+        gaps = GapProcess(np.full((8, 50), -1e-3), np.zeros((8, 50), dtype=np.int64))
+        assert [find_descent_interval(gaps, -1.0, N, grid, 1.0) for N in (1, 2, 3)] == [None] * 3
+
+        def refuse(*args):
+            raise AssertionError("simulate_state called")
+
+        monkeypatch.setattr(msa_module, "simulate_state", refuse)
+        state = SolverState(m=0, u=u, gaps=gaps, J=1.0, mu=-1.0)
+        out = msa_step(spec, grid, W, state, MSAConfig(M=50, depth=3, N_max=3))
+        assert out.kind == "exhausted"
+
     def test_accepted_at_level_two(self):
         # level 1 spikes the whole horizon and fails the descent test; the
         # first half-interval at level 2 passes
@@ -655,7 +673,7 @@ class TestMSAConfig:
     def test_seed_outside_u64_rejected(self, seed):
         # the Philox key and the binary header would reduce it mod 2^64
         assert MSAConfig(seed=2**64 - 1).seed == 2**64 - 1
-        with pytest.raises(ValueError, match=r"^seed .* outside 0\.\.2\*\*64-1$"):
+        with pytest.raises(ValueError, match=r"^seed .* must be an integer in 0\.\.2\*\*64-1$"):
             MSAConfig(seed=seed)
 
     def test_ridge_zero_needs_degree_zero(self):

@@ -109,7 +109,7 @@ class TestGenerateBrownian:
         u = ControlProcess.constant(0, 4, grid.steps, 3)
         for draw in (lambda: generate_brownian(grid, 4, 1, seed),
                      lambda: stream_states(scalar_spec(), grid, seed, u, range(1))):
-            with pytest.raises(ValueError, match=r"^seed .* outside 0\.\.2\*\*64-1$"):
+            with pytest.raises(ValueError, match=r"^seed .* must be an integer in 0\.\.2\*\*64-1$"):
                 draw()
         assert forks == []
 
@@ -691,7 +691,7 @@ class TestBinaryRoundTrip:
     @pytest.mark.parametrize("seed", [-1, 2**64, 2.5], ids=["-1", "2**64", "2.5"])
     def test_seed_outside_u64_rejected(self, seed):
         # the header would hold it reduced mod 2**64 or truncated, and read back another seed
-        with pytest.raises(ValueError, match=rf"^seed {seed} outside 0\.\.2\*\*64-1$"):
+        with pytest.raises(ValueError, match=rf"^seed {seed} must be an integer in 0\.\.2\*\*64-1$"):
             array_bytes(np.zeros((2, 3)), seed)
 
     def test_2d_promoted(self, tmp_path):
