@@ -34,6 +34,7 @@ from .model import ProblemSpec
 from .paths import (
     BrownianEnsemble,
     ControlProcess,
+    ProvenanceError,
     SimulationError,
     StateEnsemble,
     TimeGrid,
@@ -242,10 +243,11 @@ def _initial_control(
     W: BrownianEnsemble,
     u0: Union[ControlProcess, str, int, None],
 ) -> ControlProcess:
-    """u0 if a ControlProcess, else the constant control at domain index u0
-    (int or numpy integer), at 0 ("first-point", None) or "worst-constant"."""
+    """u0 if a ControlProcess, over at least the domain's points so that a spike may
+    take any, else the constant control at domain index u0 (int or numpy integer),
+    at 0 ("first-point", None) or "worst-constant"."""
     if isinstance(u0, ControlProcess):
-        return u0
+        return ControlProcess(u0.values, max(u0.num_points, spec.domain.size))
     if u0 is None or u0 == "first-point":
         u0 = 0
     elif u0 == "worst-constant":
@@ -284,11 +286,14 @@ def _worst_constant(spec: ProblemSpec, grid: TimeGrid, W: BrownianEnsemble) -> i
 
 
 def _start(spec, config, u0, W=None):
-    """(grid, W, u, X): the grid of config.depth, W drawn from config.seed
-    unless given, u0 resolved by _initial_control and its simulated states."""
+    """(grid, W, u, X): the grid of config.depth, W drawn from config.seed or, if given,
+    checked to fit it, u0 resolved by _initial_control and its simulated states."""
     grid = TimeGrid(T=spec.T, depth=config.depth)
+    shape = (grid.steps, config.M, spec.d)
     if W is None:
         W = generate_brownian(grid, config.M, spec.d, config.seed)
+    elif W.increments.shape != shape:
+        raise ProvenanceError(f"ensemble increments {W.increments.shape} do not fit run {shape}")
     u = _initial_control(spec, grid, W, u0)
     return grid, W, u, simulate_state(spec, grid, W, u)
 

@@ -264,6 +264,8 @@ def simulate_state(
         raise ProvenanceError(
             f"control shape {u.values.shape} does not match ensemble ({W.steps}, {W.M})"
         )
+    if W.steps != grid.steps:
+        raise ProvenanceError(f"ensemble of {W.steps} steps does not fit a grid of {grid.steps}")
     X, _, _ = stream_states(spec, grid, W, u, range(W.steps + 1))
     return StateEnsemble(states=X, control_values=u.values)
 

@@ -16,6 +16,7 @@ from msa_control import (
     ControlProcess,
     GapProcess,
     MSAConfig,
+    ProvenanceError,
     RegressionBasis,
     SimulationError,
     TimeGrid,
@@ -336,6 +337,31 @@ class TestRunMsa:
             IterationRecord(m=0, J=run.J0, mu=run.mu0, N=0, j=0, accepted=False, wall_time=0.0)
         ]
         assert (run.J_final, run.mu_final) == (run.J0, run.mu0)
+
+    @pytest.mark.parametrize("depth, M, d", [(5, 200, 1), (4, 100, 1), (4, 200, 2)],
+                             ids=["steps", "paths", "dim"])
+    def test_ensemble_that_does_not_fit_refused(self, monkeypatch, depth, M, d):
+        # refused before the worst-constant start steps W or any control is simulated;
+        # 32 steps of W would run at the depth-4 grid's dt = 1/16 to a horizon of 2
+        def refuse(*args):
+            raise AssertionError("W was stepped")
+
+        monkeypatch.setattr(msa_module, "_euler_step", refuse)
+        monkeypatch.setattr(msa_module, "simulate_state", refuse)
+        W = generate_brownian(TimeGrid(1.0, depth), M, d, 1)
+        shape = re.escape(f"{W.increments.shape} do not fit run (16, 200, 1)")
+        with pytest.raises(ProvenanceError, match=f"^ensemble increments {shape}$"):
+            run_msa(get_problem("lq-scalar"), MSAConfig(M=200, depth=4, m_max=2, seed=1),
+                    "worst-constant", W=W)
+
+    def test_start_control_over_fewer_points_than_domain(self):
+        # a spike may take any of lq-scalar's 21 points, so the start control is
+        # taken over all of them and the run equals the one from that control
+        spec, config = get_problem("lq-scalar"), MSAConfig(M=200, depth=4, m_max=3, seed=1)
+        few = run_msa(spec, config, ControlProcess.constant(0, 200, 16, 5))
+        full = run_msa(spec, config, ControlProcess.constant(0, 200, 16, spec.domain.size))
+        assert few.termination == full.termination == "budget"
+        assert (few.J_final, few.mu_final) == (full.J_final, full.mu_final)
 
     def test_lq_benchmark_converges(self):
         lq = get_lq("lq-scalar")

@@ -319,8 +319,8 @@ class TestVariationalSimulate:
             np.full((grid.steps, M), 3, dtype=np.int64),
         )
         X = simulate_state(spec, grid, W, u)
-        ens, e = variational_simulate(spec, grid, W, X, gaps, (4, 8))
-        assert np.all(ens.X1 == 0.0) and np.all(ens.X2 == 0.0)
+        X1, X2, e = variational_simulate(spec, grid, W, X, gaps, (4, 8))
+        assert np.all(X1 == 0.0) and np.all(X2 == 0.0)
         assert e == 0.0
 
     def test_constant_diffusion_switch_is_brownian(self):
@@ -337,13 +337,13 @@ class TestVariationalSimulate:
         )
         lo, hi = 4, 8
         X = simulate_state(spec, grid, W, u)
-        ens, e = variational_simulate(spec, grid, W, X, gaps, (lo, hi))
+        X1, _, e = variational_simulate(spec, grid, W, X, gaps, (lo, hi))
         inc = W.increments[:, :, 0]
         expect = np.zeros((grid.steps + 1, M))
         run = np.cumsum(inc[lo:hi], axis=0)
         expect[lo + 1 : hi + 1] = run
         expect[hi + 1 :] = run[-1:]
-        np.testing.assert_allclose(ens.X1[:, :, 0], expect, atol=1e-14)
+        np.testing.assert_allclose(X1[:, :, 0], expect, atol=1e-14)
 
     def test_expansion_bits_pinned(self):
         # random base controls and argmins on a scalar and an n = d = k = 2
@@ -390,8 +390,8 @@ class TestVariationalSimulate:
             X = simulate_state(spec, grid, W, u)
             got = []
             for step_range in ((0, 8), (12, 20), (24, 32)):
-                ens, e = variational_simulate(spec, grid, W, X, gaps, step_range)
-                got.append((e.hex(), sha(ens.X1), sha(ens.X2)))
+                X1, X2, e = variational_simulate(spec, grid, W, X, gaps, step_range)
+                got.append((e.hex(), sha(X1), sha(X2)))
             assert got == pins[name], name
 
     def test_missing_second_derivatives_rejected(self):
@@ -526,3 +526,6 @@ class TestSequenceLemma:
             sequence_lemma_check(float("inf"), 1.0, 10)
         with pytest.raises(ValueError):
             sequence_lemma_check(1.0, float("inf"), 10)
+        with pytest.raises(ValueError):  # its cube overflows a float
+            sequence_lemma_check(1e200, 1.0, 10)
+        assert sequence_lemma_check(1e100, 1.0, 10).ok

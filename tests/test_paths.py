@@ -813,6 +813,13 @@ _GRID = TimeGrid(T=1.0, depth=2)
             ProvenanceError,
             r"control shape \(8, 3\) does not match ensemble \(4, 3\)",
         ),
+        (  # 8 steps of W on a grid of 4 would run to twice the horizon
+            lambda: simulate_state(scalar_spec(), _GRID,
+                                   generate_brownian(TimeGrid(T=1.0, depth=3), 3, 1, 0),
+                                   ControlProcess.constant(0, 3, 8, 3)),
+            ProvenanceError,
+            r"ensemble of 8 steps does not fit a grid of 4",
+        ),
         (lambda: ControlProcess(np.array([[np.nan, 1.0]]), 3), ValueError,
          "control indices must be integers, not float64"),
         (lambda: ControlProcess(np.array([[1.5, 2.0]]), 3), ValueError,
@@ -820,7 +827,7 @@ _GRID = TimeGrid(T=1.0, depth=2)
         (lambda: ControlProcess(np.array([[True, False]]), 3), ValueError,
          "control indices must be integers, not bool"),
     ],
-    ids=["M=0", "paths", "steps", "nan-index", "fractional-index", "bool-index"],
+    ids=["M=0", "paths", "steps", "grid", "nan-index", "fractional-index", "bool-index"],
 )
 def test_invalid_input_rejected(call, error, match):
     with pytest.raises(error, match=match):
